@@ -15,22 +15,14 @@ import csv
 import numpy as np
 import scipy.linalg
 
+from workloads import PRESET_METRICS
+
 TAU_SMOOTH = 20.0
 EIG_TRACK_INTERVAL = 10
 EPS = 1e-8
 BATCH_SIZE = 100
 N_NEURONS, DEPTH, INPUTS, OUTPUT = 23, 5, (0, 1), 2
 CONVERGED = 1e-3
-
-# Preset -> (full matrix?, centered covariance?), the README's preset table.
-PRESET_METRICS = {
-    "sgd": (False, False),
-    "rmsprop": (False, False),
-    "adam": (False, False),
-    "adabelief": (False, True),
-    "cgd_diagonal": (False, True),
-    "cgd_full": (True, True),
-}
 
 # The textbook loops stay within 1e-12 of rmsprop and adam up to steps 457
 # and 520, and of adabelief for all 5000 steps; the acceptance tests

@@ -4,12 +4,13 @@
     python3 bench/run.py --self-test
 
 Run from the root of a checkout; the program is imported from ``src``.
-Set-up is probed in fresh processes; then whole rounds of the workload run,
-each in a fresh process, as many as fill about ``--seconds``. Every run pins
-the BLAS thread count to at most the number of usable CPUs, prints the
-environment, and ends with one JSON line: ``correct``, ``attempted``,
-``failed`` and ``metrics`` (the end-to-end metrics with ``--trace 0``, the
-per-layer metrics with ``--trace 1``).
+Whole rounds of the workload run, each in a fresh process, as many as fill
+about ``--seconds``; set-up is probed in fresh processes before, between and
+after them. Every run pins the BLAS thread count to at most the number of
+usable CPUs, prints the environment, and ends with one JSON line:
+``correct``, ``attempted``, ``failed`` and ``metrics`` (the end-to-end
+metrics with ``--trace 0``, the per-layer metrics with ``--trace 1``, named
+and united as ``BENCHMARK.json`` declares them).
 """
 
 from __future__ import annotations
@@ -28,32 +29,22 @@ HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORKER = HERE / "worker.py"
 OUT_ROOT = ROOT / ".bench_out"
-SETUP_PROBES = 9
+# Set-up probes per run, spread evenly before, between and after the
+# rounds so that their median samples the same stretch of machine time.
+SETUP_PROBES = 16
 CHILD_TIMEOUT_S = 170
 
 sys.path.insert(0, str(HERE))
 
 from workloads import WORKLOADS  # noqa: E402
 
-LAYER_UNITS = {
-    "problems.gradient_ms": "ms/call",
-    "problems.loss_ms": "ms/call",
-    "moments.update_ms": "ms/call",
-    "moments.covariance_ms": "ms/call",
-    "moments.update_alloc_mb": "MB/call",
-    "linalg.eigendecompose_ms": "ms/call",
-    "linalg.eigendecompose_per_step": "calls/step",
-    "metric.build_ms": "ms/call",
-    "metric.builds_per_step": "calls/step",
-    "metric.apply_ms": "ms/call",
-    "optimizer.step_ms": "ms/call",
-    "optimizer.step_self_ms": "ms/call",
-    "harness.track_eigenvalues_ms": "ms/call",
-    "harness.loop_self_ms": "ms/step",
-    "harness.write_csv_ms": "ms/run",
-    "harness.csv_bytes": "bytes/run",
-    "cli.import_s": "s",
-}
+
+def metric_units() -> tuple[dict[str, str], dict[str, str]]:
+    """Names and units of the end-to-end and per-layer metrics, as
+    BENCHMARK.json declares them: the one place they are defined."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    return ({m["name"]: m["unit"] for m in spec["end_to_end"]},
+            {m["name"]: m["unit"] for m in spec["per_layer"]})
 
 
 def child_env() -> tuple[dict, int]:
@@ -84,23 +75,28 @@ def median(values) -> float:
     return float(statistics.median(values))
 
 
+def spread_probes(total: int, slots: int) -> list[int]:
+    """Split ``total`` probes as evenly as possible over ``slots`` slots."""
+    return [total // slots + (i < total % slots) for i in range(slots)]
+
+
 def benchmark(args, env: dict, threads: int) -> dict:
     workload = WORKLOADS[args.workload]
     out_dir = OUT_ROOT / f"{workload.name}-seed{args.seed}-pid{os.getpid()}"
     opts = {"workload": workload.name, "seed": args.seed, "out_dir": str(out_dir),
             "trace": bool(args.trace)}
+    n_rounds = workload.rounds(args.seconds)
+    setup_s, import_s, rounds = [], [], []
     try:
-        setup_s, import_s = [], []
-        for _ in range(SETUP_PROBES):
-            t_launch, probe = launch("setup", opts, env)
-            setup_s.append(probe["t_first_step"] - t_launch)
-            import_s.append(probe["import_s"])
-
-        rounds = []
-        for _ in range(workload.rounds(args.seconds)):
-            t_launch, report = launch("round", opts, env)
-            report["run_s"] = report["t_done"] - t_launch
-            rounds.append(report)
+        for slot, probes in enumerate(spread_probes(SETUP_PROBES, n_rounds + 1)):
+            for _ in range(probes):
+                t_launch, probe = launch("setup", opts, env)
+                setup_s.append(probe["t_first_step"] - t_launch)
+                import_s.append(probe["import_s"])
+            if slot < n_rounds:
+                t_launch, report = launch("round", opts, env)
+                report["run_s"] = report["t_done"] - t_launch
+                rounds.append(report)
     finally:
         shutil.rmtree(out_dir, ignore_errors=True)
 
@@ -117,25 +113,33 @@ def benchmark(args, env: dict, threads: int) -> dict:
     problems = [msg for r in rounds for msg in r["check_failures"]]
     for msg in problems:
         print(f"CHECK FAILED: {msg}")
-    for msg in (m for r in rounds for m in r["errors"]):
+    errors = [m for r in rounds for m in r["errors"]]
+    for msg in errors:
         print(f"OPERATION FAILED: {msg}")
 
+    end_to_end_units, layer_units = metric_units()
     if args.trace:
         metrics = {name: median(r["layers"][name] for r in rounds)
-                   for name in LAYER_UNITS if name != "cli.import_s"}
+                   for name in rounds[0]["layers"]}
         metrics["cli.import_s"] = median(import_s)
-        units = LAYER_UNITS
+        units = layer_units
     else:
+        # a round whose operations all failed did no stepping
+        rates = [r["steps"] / r["stepping_s"] for r in rounds if r["stepping_s"] > 0]
         metrics = {
             "setup_s": median(setup_s),
             "run_s": median(r["run_s"] for r in rounds),
-            "steps_per_s": median(r["steps"] / r["stepping_s"] for r in rounds
-                                  if r["stepping_s"] > 0),
+            "steps_per_s": median(rates) if rates else 0.0,
             "peak_rss_mb": median(r["rss_kb"] / 1024.0 for r in rounds),
         }
-        units = {"setup_s": "s", "run_s": "s", "steps_per_s": "steps/s", "peak_rss_mb": "MB"}
+        units = end_to_end_units
+    if set(metrics) != set(units):
+        raise RuntimeError(f"measured metrics {sorted(metrics)} differ from "
+                           f"BENCHMARK.json's {sorted(units)}")
     return {
-        "correct": not problems,
+        # no operation of any workload is expected to fail, and a failed
+        # one skips its output checks, so a failure is not correct output
+        "correct": not problems and not errors,
         "attempted": sum(r["attempted"] for r in rounds),
         "failed": sum(r["failed"] for r in rounds),
         "metrics": {name: {"value": value, "unit": units[name]}

@@ -14,11 +14,13 @@ from pathlib import Path
 import numpy as np
 
 import checks
+import spans
 from workloads import WORKLOADS
 from worker import StepCapture, sampled_steps
 
 SEED = 0
 EARLY_STEPS = 300  # the full-metric loss is still ~0.1 here; it collapses after step 470
+SPAN_STEPS = 30
 
 
 def _run(workload, preset: str, out_dir: Path, capture: bool):
@@ -53,6 +55,62 @@ def _bumped(values, index, rel):
     out = np.array(values, copy=True)
     out[index] *= 1.0 + rel
     return out
+
+
+def _raised(fn, *args) -> list[str]:
+    try:
+        fn(*args)
+    except spans.MissingSpan as exc:
+        return [str(exc)]
+    return []
+
+
+def _span_cases(out_dir: Path) -> list:
+    """The traced run must refuse to read a layer whose calls it lost. Runs
+    last: installing the tracer wraps the program's functions for good."""
+    import types
+
+    from cgd import harness, linalg, metric
+
+    lazy = dataclasses.replace(WORKLOADS["multiply-full-lazy"], steps=SPAN_STEPS)
+    tracked = -(-SPAN_STEPS // checks.EIG_TRACK_INTERVAL)
+    bogus = spans.Tracer()
+    boundaries = spans.BOUNDARIES
+    spans.BOUNDARIES = (("cgd.metric", None, "no_such_function", "metric.gone"),) + boundaries
+    try:
+        gone = _raised(bogus.install)
+    finally:
+        spans.BOUNDARIES = boundaries
+
+    tracer = spans.Tracer()
+    tracer.install()
+
+    def traced_run():
+        before = dict(tracer.calls)
+        _run(lazy, "cgd_full", out_dir, False)
+        tracer.check_reach(before, SPAN_STEPS, True, tracked)
+
+    reached = _raised(traced_run)
+    # metric reaching an unwrapped eigensolver, as if it had kept its own
+    # reference to it: builds go on, eigendecompositions stop being counted
+    unwrapped = types.SimpleNamespace(eigendecompose=linalg.eigendecompose.__wrapped__)
+    metric.linalg, real_linalg = unwrapped, metric.linalg
+    try:
+        escaped = _raised(traced_run)
+    finally:
+        metric.linalg = real_linalg
+    harness.track_eigenvalues, real_track = harness.track_eigenvalues.__wrapped__, \
+        harness.track_eigenvalues
+    try:
+        untracked = _raised(traced_run)
+    finally:
+        harness.track_eigenvalues = real_track
+    return [
+        ("traced lazy run reaches every span", reached, False),
+        ("a timed boundary renamed away", gone, True),
+        ("metric calls an eigensolver outside its span", escaped, True),
+        ("eigenvalue tracking outside its span", untracked, True),
+    ]
 
 
 def run_selftest(opts: dict) -> dict:
@@ -164,6 +222,8 @@ def run_selftest(opts: dict) -> dict:
         ("spectrum held at its first row",
          checks.check_spectrum("cgd_full", np.repeat(eig[:1], eig.shape[0], axis=0)), True),
     ]
+
+    cases += _span_cases(out_dir)
 
     lines, ok = [], True
     for name, failures, should_flag in cases:

@@ -7,7 +7,9 @@ round and are reduced to per-name statistics when the round ends.
 
 from __future__ import annotations
 
+import importlib
 import statistics
+import sys
 import time
 import tracemalloc
 from collections import defaultdict
@@ -16,28 +18,34 @@ from collections import defaultdict
 # allocation; those calls are left out of the timing.
 ALLOC_SAMPLE_EVERY = 50
 
-# (module, owner path, attribute, span name). The owner is the namespace the
-# caller looks the name up in, so the wrapper sees every call.
+# (module, class or None, attribute, span name), each named where it is
+# defined. A module-level function is also rewrapped under every other name
+# bound to it in a loaded cgd module (``from .linalg import eigendecompose``),
+# so the wrapper sees a call whichever import style the caller uses.
 BOUNDARIES = (
     ("cgd.problems", "RosenbrockProblem", "gradient", "problems.gradient"),
     ("cgd.problems", "RosenbrockProblem", "loss", "problems.loss"),
     ("cgd.problems", "MultiplyProblem", "gradient", "problems.gradient"),
     ("cgd.problems", "MultiplyProblem", "loss", "problems.loss"),
-    ("cgd.optimizer", None, "update_moments", "moments.update"),
-    ("cgd.metric", None, "covariance", "moments.covariance"),
+    ("cgd.moments", None, "update_moments", "moments.update"),
+    ("cgd.moments", None, "covariance", "moments.covariance"),
     ("cgd.linalg", None, "eigendecompose", "linalg.eigendecompose"),
-    ("cgd.harness", None, "eigendecompose", "linalg.eigendecompose"),
-    ("cgd.optimizer", None, "build_inverse_metric", "metric.build"),
+    ("cgd.metric", None, "build_inverse_metric", "metric.build"),
     ("cgd.metric", "InverseMetricOperator", "apply", "metric.apply"),
-    ("cgd.harness", None, "step", "optimizer.step"),
+    ("cgd.optimizer", None, "step", "optimizer.step"),
     ("cgd.harness", None, "track_eigenvalues", "harness.track_eigenvalues"),
 )
+
+
+class MissingSpan(RuntimeError):
+    """A boundary the benchmark times is gone, or a call escaped its span."""
 
 
 class Tracer:
     def __init__(self):
         self.durations = defaultdict(list)
         self.self_times = defaultdict(list)
+        self.calls = defaultdict(int)
         self.alloc_peaks = []
         self._stack = []
 
@@ -45,11 +53,11 @@ class Tracer:
         stack = self._stack
         durations = self.durations[name]
         self_times = self.self_times[name]
-        calls = [0]
+        calls = self.calls
 
         def traced(*args, **kwargs):
-            calls[0] += 1
-            sample_alloc = alloc_every and calls[0] % alloc_every == 1
+            calls[name] += 1
+            sample_alloc = alloc_every and calls[name] % alloc_every == 1
             if sample_alloc:
                 tracemalloc.start()
             stack.append(0.0)
@@ -68,24 +76,54 @@ class Tracer:
                 if stack:
                     stack[-1] += dt
 
+        traced.__wrapped__ = fn
         return traced
 
     def install(self):
-        """Wrap every boundary in BOUNDARIES that the installed cgd has."""
-        import importlib
-
+        """Wrap every boundary in BOUNDARIES; raise MissingSpan if one is gone."""
         for module_name, owner_name, attr, span in BOUNDARIES:
             owner = importlib.import_module(module_name)
             if owner_name is not None:
                 owner = getattr(owner, owner_name, None)
-            if owner is None or not hasattr(owner, attr):
-                continue
+            original = getattr(owner, attr, None)
+            if original is None:
+                where = ".".join(filter(None, (module_name, owner_name, attr)))
+                raise MissingSpan(f"{where} is gone; update BOUNDARIES in bench/spans.py")
             every = ALLOC_SAMPLE_EVERY if span == "moments.update" else 0
-            setattr(owner, attr, self.wrap(span, getattr(owner, attr), every))
+            wrapped = self.wrap(span, original, every)
+            setattr(owner, attr, wrapped)
+            if owner_name is None:
+                for name, module in list(sys.modules.items()):
+                    if name.split(".")[0] != "cgd":
+                        continue
+                    for alias, value in list(vars(module).items()):
+                        if value is original:
+                            setattr(module, alias, wrapped)
 
     def timed(self, name, fn, *args):
         """Call fn as a top-level span (the benchmark's own calls)."""
         return self.wrap(name, fn)(*args)
+
+    def check_reach(self, before: dict, steps: int, full_metric: bool,
+                    tracked_rows: int) -> None:
+        """Raise MissingSpan unless one operation's calls, counted from
+        ``before`` (a copy of ``calls``), reached every span it must: one
+        gradient and one optimizer step per step, a loss, a moment update, a
+        metric build and an apply on every run, and on a full-metric run the
+        covariance, an eigendecomposition per build and the eigenvalue
+        tracking. A span that loses its calls would read as a free layer."""
+        made = {name: self.calls[name] - before.get(name, 0) for name in self.calls}
+        need = {"problems.gradient": steps, "optimizer.step": steps, "problems.loss": steps,
+                "moments.update": 1, "metric.build": 1, "metric.apply": 1}
+        if full_metric:
+            need.update({"moments.covariance": 1,
+                         "linalg.eigendecompose": made.get("metric.build", 0) or 1})
+        if tracked_rows:
+            need["harness.track_eigenvalues"] = tracked_rows
+        short = [f"{name} {made.get(name, 0)} < {least}"
+                 for name, least in need.items() if made.get(name, 0) < least]
+        if short:
+            raise MissingSpan("calls escaped their spans (made < needed): " + ", ".join(short))
 
     def layer_metrics(self, steps: int, csv_bytes: list[int]) -> dict[str, float]:
         """Per-layer figures of one round; 0 for a layer the round never called."""
@@ -95,7 +133,7 @@ class Tracer:
             return 1e3 * statistics.median(values) if values else 0.0
 
         def per_step(name):
-            return len(self.durations[name]) / steps
+            return self.calls[name] / steps
 
         direct = sum(
             sum(self.durations[name])

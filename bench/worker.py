@@ -21,7 +21,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from workloads import WORKLOADS  # noqa: E402  (standard library only)
+from workloads import PRESET_METRICS, WORKLOADS  # noqa: E402  (standard library only)
 
 
 class _FirstStep(Exception):
@@ -124,6 +124,7 @@ def run_round(opts: dict) -> dict:
         capture = StepCapture(workload.steps, moves) if capture_on else None
         if capture:
             harness.step = capture.wrap(traced_step)
+        calls_before = dict(tracer.calls) if tracer else None
         try:
             cfg = harness.ExperimentConfig.from_mapping(
                 workload.config_mapping(preset, seed, str(out_dir)))
@@ -141,6 +142,10 @@ def run_round(opts: dict) -> dict:
             continue
         finally:
             harness.step = traced_step
+        if tracer:
+            tracked = -(-cfg.steps // cfg.eig_track_interval) if cfg.eig_track_k else 0
+            tracer.check_reach(calls_before, cfg.steps, PRESET_METRICS[preset][0],
+                               tracked)
         stepping_s += t1 - t0
         steps_done += workload.steps
         ops.append((preset, path, record.final_params, capture))
@@ -201,7 +206,7 @@ def check_round(workload, seed: int, ops: list, eig_at: set,
             out += checks.check_spectrum(label, eig)
         if capture is None:
             continue
-        if checks.PRESET_METRICS[preset][0]:
+        if PRESET_METRICS[preset][0]:
             out += checks.check_full_directions(
                 label, hp, workload.metric_update_interval, capture.grads,
                 capture.before, capture.after, eig, eig_at)

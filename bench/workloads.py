@@ -11,6 +11,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 DIAGONAL_PRESETS = ("sgd", "rmsprop", "adam", "adabelief", "cgd_diagonal")
+
+# Preset -> (full matrix?, centered covariance?), the README's preset table.
+PRESET_METRICS = {
+    "sgd": (False, False),
+    "rmsprop": (False, False),
+    "adam": (False, False),
+    "adabelief": (False, True),
+    "cgd_diagonal": (False, True),
+    "cgd_full": (True, True),
+}
 ALL_PRESETS = DIAGONAL_PRESETS + ("cgd_full",)
 
 # The full-metric runs pass the loss collapse at steps 470-590 on seeds 0-9
