@@ -1,7 +1,8 @@
 """Command-line entry points: run, compare, gradcheck.
 
 Exit codes: 0 success, 2 bad configuration, 3 numerical failure (non-finite
-loss mid-run, or a gradient check exceeding tolerance).
+loss or full-metric statistic mid-run, or a gradient check exceeding
+tolerance).
 """
 
 from __future__ import annotations

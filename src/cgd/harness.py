@@ -18,9 +18,9 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 from numpy.typing import NDArray
 
-from .linalg import eigendecompose
-from .metric import MetricShape, ModeMismatch
-from .moments import FULL, MomentState, ema_update
+from .linalg import NonFiniteMatrix, eigendecompose
+from .metric import MetricShape, MetricStatistic, ModeMismatch
+from .moments import FULL, MomentState, covariance, ema_update
 from .optimizer import CgdConfig, initial_state, normalize_preset_name, preset, step
 from .problems import MultiplyProblem, RosenbrockProblem, finite_diff_grad
 
@@ -34,7 +34,7 @@ class ConfigError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """Loss became non-finite during a run."""
+    """Loss or full-metric statistic became non-finite during a run."""
 
     def __init__(self, message: str, step: int):
         super().__init__(message)
@@ -241,15 +241,26 @@ class RunRecord:
     final_params: NDArray[np.float64]
 
 
-def track_eigenvalues(moments: MomentState, k: int) -> NDArray[np.float64]:
-    """Top-k eigenvalues of the clamped gradient covariance, descending."""
+def track_eigenvalues(
+    moments: MomentState, k: int, spectrum: NDArray[np.float64] | None = None
+) -> NDArray[np.float64]:
+    """Top-k eigenvalues of the clamped gradient covariance, descending.
+
+    ``spectrum`` is the raw ascending spectrum of ``covariance(moments)``
+    when the caller already has it (a full covariance metric built from these
+    moments); without it the covariance is decomposed here.
+    """
     if moments.mode != FULL:
         raise ModeMismatch("eigenvalue tracking needs full-matrix moments")
     if not 1 <= k <= moments.dim:
         raise ValueError(f"k must be in [1, {moments.dim}], got {k}")
-    cov = moments.m2 - np.outer(moments.m1, moments.m1)
-    decomp = eigendecompose(cov)
-    clamped = np.maximum(decomp.eigenvalues, 0.0)
+    if spectrum is None:
+        spectrum = eigendecompose(covariance(moments)).eigenvalues
+    elif spectrum.shape != (moments.dim,):
+        raise ValueError(
+            f"spectrum shape {spectrum.shape} does not match dimension {moments.dim}"
+        )
+    clamped = np.maximum(spectrum, 0.0)
     return clamped[::-1][:k]
 
 
@@ -280,6 +291,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     dim = q_start.shape[0]
     keep_params = dim <= 4
     k = cfg.eig_track_k
+    # the metric's own spectrum is the tracked one only when it decomposed
+    # the covariance; a second-moment metric's spectrum is of m2
+    reuse_spectrum = opt_cfg.metric.statistic is MetricStatistic.COVARIANCE
 
     losses = np.empty(cfg.steps)
     smoothed = np.empty(cfg.steps)
@@ -289,7 +303,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     for t in range(cfg.steps):
         bs = int(batch_seeds[t]) if stochastic else None
         grad = problem.gradient(state.params, bs)
-        state = step(state, grad, opt_cfg)
+        try:
+            state = step(state, grad, opt_cfg)
+        except NonFiniteMatrix as exc:
+            raise NumericalError(
+                f"full-metric statistic became non-finite at step {t + 1}", step=t + 1
+            ) from exc
         loss = problem.loss(state.params, bs)
         if not math.isfinite(loss):
             raise NumericalError(f"loss became non-finite at step {t + 1}", step=t + 1)
@@ -299,7 +318,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
             params[t] = state.params
         if k > 0:
             if t % cfg.eig_track_interval == 0:
-                eigs[t] = track_eigenvalues(state.moments, k)
+                spectrum = state.spectrum if reuse_spectrum else None
+                eigs[t] = track_eigenvalues(state.moments, k, spectrum)
             else:
                 eigs[t] = eigs[t - 1]
 

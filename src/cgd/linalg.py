@@ -30,6 +30,10 @@ class NonConvergence(RuntimeError):
     """Jacobi sweeps exceeded the iteration cap."""
 
 
+class NonFiniteMatrix(ValueError):
+    """Input matrix has an infinite or NaN entry."""
+
+
 class DomainError(ValueError):
     """Fractional power of a negative eigenvalue with clamping disabled."""
 
@@ -50,7 +54,7 @@ def _as_symmetric(a) -> NDArray[np.float64]:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
+        raise NonFiniteMatrix("matrix has non-finite entries")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix is not symmetric")
     return a

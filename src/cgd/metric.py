@@ -78,6 +78,8 @@ class InverseMetricOperator:
 
     ``basis`` is None for a diagonal metric, otherwise the eigenvector matrix
     of S; ``weights`` holds the regularized spectrum raised to ``-power``.
+    ``eigenvalues`` is the raw ascending spectrum of S that the build
+    decomposed (before clamping), or None for a diagonal metric.
     ``computed_at`` records the moment-state step the statistic was read at,
     so a cached operator can be aged against a refresh interval.
     """
@@ -85,6 +87,7 @@ class InverseMetricOperator:
     weights: np.ndarray
     basis: np.ndarray | None
     computed_at: int
+    eigenvalues: np.ndarray | None = None
 
     def apply(self, force: np.ndarray) -> np.ndarray:
         if self.basis is None:
@@ -103,7 +106,7 @@ def build_inverse_metric(state: MomentState, spec: MetricSpec) -> InverseMetricO
     if spec.shape is MetricShape.FULL:
         eigenvalues, eigenvectors = linalg.eigendecompose(stat)
         weights = (np.maximum(eigenvalues, 0.0) + spec.eps) ** (-spec.power)
-        return InverseMetricOperator(weights, eigenvectors, state.step)
+        return InverseMetricOperator(weights, eigenvectors, state.step, eigenvalues)
     weights = (np.maximum(stat, 0.0) + spec.eps) ** (-spec.power)
     return InverseMetricOperator(weights, None, state.step)
 

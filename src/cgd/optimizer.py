@@ -63,12 +63,17 @@ class OptimizerState:
     """Parameters plus moment statistics; treated as an immutable value.
 
     ``precond`` carries the cached inverse-metric operator between steps when
-    a refresh interval > 1 is configured; it is None otherwise.
+    a refresh interval > 1 is configured; it is None otherwise. ``spectrum``
+    is the raw ascending spectrum of the full-metric statistic when the step
+    that produced this state built its operator, so a caller can read it
+    without a second eigendecomposition; it is None after a step that reused
+    a cached operator, and for a diagonal metric.
     """
 
     params: np.ndarray
     moments: MomentState
     precond: InverseMetricOperator | None = None
+    spectrum: np.ndarray | None = None
 
 
 def initial_state(params, cfg: CgdConfig) -> OptimizerState:
@@ -89,20 +94,20 @@ def step(state: OptimizerState, grad, cfg: CgdConfig) -> OptimizerState:
     moments = update_moments(state.moments, grad, cfg.timescales)
 
     interval = cfg.metric_update_interval
-    if interval > 1 and cfg.metric.shape is MetricShape.FULL:
-        operator = state.precond
-        if operator is None or (moments.step - 1) % interval == 0:
-            operator = build_inverse_metric(moments, cfg.metric)
-        cached = operator
-    else:
+    operator = state.precond
+    if operator is None or (moments.step - 1) % interval == 0:
         operator = build_inverse_metric(moments, cfg.metric)
-        cached = None
+        spectrum = operator.eigenvalues
+    else:
+        spectrum = None
+    cached = operator if interval > 1 and cfg.metric.shape is MetricShape.FULL else None
 
     direction = operator.apply(moments.m1)
     return OptimizerState(
         params=state.params - cfg.gamma * direction,
         moments=moments,
         precond=cached,
+        spectrum=spectrum,
     )
 
 

@@ -17,8 +17,11 @@ as a positive control. Comparing each tracked eigenvalue's smoothed tail
 endpoint with its tail start was a coin flip on the batch-noise floor the
 spectrum reaches after collapsing four decades, and its verdict followed
 OPENBLAS_NUM_THREADS; the test now asserts that no rank climbs more than one
-decade within the tail, with a synthetic rebound as positive control. Each
-test body carries the measured numbers.
+decade within the tail, with a synthetic rebound as positive control. The
+decay test measured its top eigenvalue against the identity prior at step 1,
+which every run longer than about 50 steps ends a decade below; it now reads
+the peak from step 201 on and flags the same runs cut at step 350. Each test
+body carries the measured numbers.
 """
 
 import time
@@ -234,7 +237,7 @@ def test_multiply_ranking_and_threshold(multiply_runs):
     # first full run: measured means adam 1.13e-1, cgd_diagonal 7.7e-5,
     # cgd_full 1.1e-5 (three orders inside the bound). The preconditioner is
     # refreshed every step (metric_update_interval stays 1); the three
-    # cgd_full runs dominate the fixture at 220-260 s each on a 2-vCPU
+    # cgd_full runs dominate the fixture at 170-215 s each on a 2-vCPU
     # machine, against the 15 minute budget.
     runs, elapsed = multiply_runs
     mean_final = {
@@ -249,19 +252,42 @@ def test_multiply_ranking_and_threshold(multiply_runs):
     assert _verdict("multiply ranking and threshold", ok), (mean_final, elapsed)
 
 
+# First row read by the decay test. The second moment starts at the identity,
+# and that prior decays as beta2^t with beta2 = 15.3 / 16.3 for multiply
+# cgd_full: 0.94 at step 1, about 3e-6 by step 201.
+DECAY_FROM_ROW = 200
+
+
+def _decay_ratio(top):
+    # last value of the top tracked eigenvalue over its maximum after the
+    # prior has decayed (steps 201 on)
+    return float(top[-1] / top[DECAY_FROM_ROW:].max())
+
+
 def test_eigenvalue_decay(multiply_runs):
-    # the tracked covariance spectrum must collapse: the top eigenvalue ends
-    # at least one order of magnitude below its running maximum in each seed.
-    # Measured final/peak ratios: 2.7e-4, 9.3e-5, 7.3e-5 (3.5+ orders).
+    # The tracked covariance spectrum must collapse: the top eigenvalue ends
+    # at least one order of magnitude below its in-training peak, read over
+    # steps 201-5000, in each seed. The maximum over all steps would be the
+    # identity prior at step 1 (0.94), which any run longer than about 50
+    # steps ends a decade below, trained or not.
+    #
+    # Measured at OPENBLAS_NUM_THREADS=1: the peak comes at steps 411, 391
+    # and 481 (0.0097, 0.0148, 0.0237) and the end sits 38x, 170x and 347x
+    # below it on seeds 0, 1 and 2; at 2 threads the peaks are the same and
+    # the end sits 86x, 132x and 425x below them. Every rank ends at least
+    # 38x (1 thread) and 86x (2 threads) below its own peak.
+    #
+    # Positive control: the same runs cut at step 350, before the collapse,
+    # read 1.5x, 5.5x and 1.2x and must be flagged.
     runs, _ = multiply_runs
     ratios = {}
     for seed in SEEDS:
         eigs = runs["cgd_full", seed].eigenvalues
-        top = eigs[:, 0]
-        ratios[seed] = float(top[-1] / top.max())
+        ratios[seed] = _decay_ratio(eigs[:, 0])
         # supporting check, same direction: every tracked rank ends at least
-        # one order below its own peak
-        assert np.all(eigs[-1] <= eigs.max(axis=0) / 10.0)
+        # one order below its own peak over the same steps
+        assert np.all(eigs[-1] <= eigs[DECAY_FROM_ROW:].max(axis=0) / 10.0)
+        assert _decay_ratio(eigs[:350, 0]) > 0.1, seed
     ok = all(r <= 0.1 for r in ratios.values())
     assert _verdict("eigenvalue decay", ok), ratios
 

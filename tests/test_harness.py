@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cgd import cli
+import cgd
+from cgd import cli, harness
 from cgd.harness import (
     ConfigError,
     ExperimentConfig,
@@ -15,8 +21,8 @@ from cgd.harness import (
     write_csv,
 )
 from cgd.metric import ModeMismatch
-from cgd.moments import FULL, MomentState, Timescales, update_moments
-from cgd.problems import rosenbrock_loss
+from cgd.moments import FULL, MomentState, Timescales, covariance, update_moments
+from cgd.problems import rosenbrock_grad, rosenbrock_loss
 
 
 # --- configuration ---------------------------------------------------------
@@ -222,6 +228,49 @@ def test_eigenvalues_carried_between_tracking_steps():
         assert np.array_equal(rec.eigenvalues[t], rec.eigenvalues[10])
 
 
+def _checked_tracking(monkeypatch):
+    """Replace the run's eigenvalue tracker with one that also decomposes
+    the covariance afresh and requires the same bits; returns the list of
+    spectra the run passed in (None where it passed none)."""
+    passed = []
+
+    def checked(moments, k, spectrum=None):
+        got = track_eigenvalues(moments, k, spectrum)
+        assert np.array_equal(got, track_eigenvalues(moments, k))
+        passed.append(spectrum)
+        return got
+
+    monkeypatch.setattr(harness, "track_eigenvalues", checked)
+    return passed
+
+
+@pytest.mark.parametrize("interval", [1, 3])
+def test_tracking_reuses_the_step_spectrum_bitwise(monkeypatch, interval):
+    passed = _checked_tracking(monkeypatch)
+    run_experiment(ExperimentConfig(problem="multiply", optimizer="cgd_full", steps=7,
+                                    eig_track_k=10, eig_track_interval=1,
+                                    metric_update_interval=interval))
+    reused = [spectrum is not None for spectrum in passed]
+    # at interval 3 the operator is built at steps 1, 4 and 7; the tracked
+    # steps between them decompose the covariance afresh
+    assert reused == ([True] * 7 if interval == 1 else [True, False, False] * 2 + [True])
+
+
+def test_second_moment_metric_tracks_covariance_eigenvalues(monkeypatch):
+    passed = _checked_tracking(monkeypatch)
+    rec = run_experiment(ExperimentConfig(optimizer="cgd_full", statistic="second_moment",
+                                          steps=1, eig_track_k=2))
+    assert passed == [None]
+    # after one step from (0, 0.5) the first moment is far from zero, so the
+    # covariance and the raw second moment have different spectra
+    g = rosenbrock_grad(np.array([0.0, 0.5]))
+    st = update_moments(MomentState.initial(2, FULL), g, Timescales(10.9, 9.46))
+    cov_top = np.maximum(np.linalg.eigvalsh(covariance(st)), 0.0)[::-1]
+    m2_top = np.linalg.eigvalsh(st.m2)[::-1]
+    assert np.allclose(rec.eigenvalues[0], cov_top, rtol=1e-12)
+    assert not np.allclose(rec.eigenvalues[0], m2_top, rtol=1e-3)
+
+
 # --- CSV --------------------------------------------------------------------
 
 
@@ -264,6 +313,25 @@ def test_rerun_is_byte_identical(tmp_path):
         write_csv(run_experiment(cfg), a)
         write_csv(run_experiment(cfg), b)
         assert a.read_bytes() == b.read_bytes()
+
+
+def test_full_metric_cli_rerun_is_byte_identical_at_one_blas_thread(tmp_path):
+    # two fresh processes at a pinned BLAS thread count; the bytes are a
+    # function of the config, numpy, the BLAS build and the thread count
+    cfg = tmp_path / "full.cfg"
+    cfg.write_text("problem = multiply\noptimizer = cgd_full\nsteps = 40\n"
+                   "eig_track_k = 3\n")
+    src = str(Path(cgd.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outputs = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        subprocess.run([sys.executable, "-m", "cgd.cli", "run", "--config", str(cfg),
+                        "--output_dir", str(out)], env=env, check=True, capture_output=True)
+        outputs.append((out / "multiply_cgd_full_seed0.csv").read_bytes())
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count(b"\n") == 41
 
 
 # --- suites and gradcheck ----------------------------------------------------
@@ -326,6 +394,20 @@ def test_cli_numerical_failure(tmp_path):
     cfg = write_cfg(tmp_path, "optimizer = sgd\nsteps = 50\n"
                               f"output_dir = {tmp_path}\n")
     assert cli.main(["run", "--config", cfg, "--gamma", "1.0"]) == 3
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_cli_non_finite_full_metric_is_a_numerical_failure(tmp_path, capsys):
+    # the first gradient overflows, so the full covariance holds inf - inf
+    cfg = write_cfg(tmp_path, "problem = rosenbrock\noptimizer = cgd_full\n"
+                              f"q0 = 1e200,1e200\noutput_dir = {tmp_path}\n")
+    assert cli.main(["run", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "step 1" in err
+    assert "Traceback" not in err
+    with pytest.raises(NumericalError) as caught:
+        run_experiment(ExperimentConfig.from_file(cfg))
+    assert caught.value.step == 1
 
 
 def test_cli_compare(tmp_path, capsys):

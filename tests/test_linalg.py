@@ -4,6 +4,7 @@ import pytest
 from cgd.linalg import (
     DomainError,
     NonConvergence,
+    NonFiniteMatrix,
     apply_inverse_metric,
     apply_inverse_metric_diag,
     eigendecompose,
@@ -69,8 +70,11 @@ def test_rejects_bad_input():
         eigendecompose(np.ones((2, 3)))
     with pytest.raises(ValueError):
         eigendecompose([[0.0, 1.0], [2.0, 0.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(NonFiniteMatrix):
         eigendecompose([[np.nan, 0.0], [0.0, 1.0]])
+    with pytest.raises(NonFiniteMatrix):
+        eigendecompose([[np.inf, 0.0], [0.0, 1.0]], method="lapack")
+    assert issubclass(NonFiniteMatrix, ValueError)
     with pytest.raises(ValueError):
         eigendecompose(np.eye(2), method="qr")
 

@@ -129,3 +129,16 @@ def test_operator_caches_step_stamp():
     st = full_state(rng, steps=7)
     op = build_inverse_metric(st, MetricSpec("full", "second_moment", 0.5))
     assert op.computed_at == st.step == 7
+
+
+def test_operator_keeps_the_raw_spectrum_it_decomposed():
+    rng = np.random.default_rng(7)
+    # a first moment larger than the second moment's scale makes the
+    # covariance indefinite
+    st = MomentState(m1=3.0 * np.ones(4), m2=full_state(rng).m2, step=12)
+    spec = MetricSpec("full", "covariance", 0.4)
+    op = build_inverse_metric(st, spec)
+    raw = eigendecompose(statistic_values(st, spec)).eigenvalues
+    assert np.min(raw) < 0.0  # indefinite: the kept spectrum is not clamped
+    assert np.array_equal(op.eigenvalues, raw)
+    assert build_inverse_metric(st, MetricSpec("diagonal", "covariance", 0.4)).eigenvalues is None

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cgd.moments import (
+    BLOCK_ROWS,
     DIAGONAL,
     FULL,
     DimensionMismatch,
@@ -128,6 +129,35 @@ def test_covariance_formula():
 
     st_d = update_moments(MomentState.initial(2, DIAGONAL), g, ts)
     assert np.allclose(covariance(st_d), g * g / 4.0 + 0.75 - g * g, atol=1e-15)
+
+
+def _full_state_552(rng):
+    # a 552-wide state like the multiply network's, so the blocked update
+    # ends on a ragged block (552 = 8 * 64 + 40)
+    d = 552
+    a = 0.1 * rng.standard_normal((d, d))
+    return MomentState(m1=0.1 * rng.standard_normal(d), m2=a @ a.T + np.eye(d), step=9)
+
+
+def test_full_update_is_bitwise_the_ema_formula():
+    rng = np.random.default_rng(3)
+    st = _full_state_552(rng)
+    assert st.dim % BLOCK_ROWS != 0
+    m2_before = st.m2.copy()
+    g = rng.standard_normal(st.dim)
+    tau = 15.3
+    new = update_moments(st, g, Timescales(17.1, tau))
+    expected = np.outer(g, g) / (1.0 + tau) + st.m2 * (tau / (1.0 + tau))
+    assert np.array_equal(new.m2, expected)
+    assert np.array_equal(new.m1, ema_update(st.m1, g, 17.1))
+    assert np.array_equal(st.m2, m2_before)  # the input state is not touched
+
+
+def test_full_covariance_is_bitwise_m2_minus_outer():
+    st = _full_state_552(np.random.default_rng(4))
+    m2_before = st.m2.copy()
+    assert np.array_equal(covariance(st), st.m2 - np.outer(st.m1, st.m1))
+    assert np.array_equal(st.m2, m2_before)
 
 
 def test_covariance_can_be_indefinite_under_two_timescales():

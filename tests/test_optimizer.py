@@ -147,6 +147,39 @@ def test_metric_update_interval_reuses_operator():
     assert [op.computed_at for op in ops] == [1, 1, 1, 4, 4, 4, 7]
 
 
+def test_state_carries_the_spectrum_only_from_a_build():
+    cfg = preset("cgd_full", context="rosenbrock", metric_update_interval=3)
+    st = initial_state(Q0, cfg)
+    for t in range(1, 8):
+        st = step(st, rosenbrock_gradient(st.params), cfg)
+        if t in (1, 4, 7):
+            assert st.spectrum is st.precond.eigenvalues
+            assert st.spectrum.shape == (2,)
+        else:
+            assert st.spectrum is None
+
+    every = preset("cgd_full", context="rosenbrock")
+    st = step(initial_state(Q0, every), rosenbrock_gradient(Q0), every)
+    assert st.precond is None and st.spectrum.shape == (2,)
+
+    diag = preset("cgd_diagonal", context="rosenbrock")
+    assert step(initial_state(Q0, diag), rosenbrock_gradient(Q0), diag).spectrum is None
+
+
+def test_step_mutates_no_input_array():
+    rng = np.random.default_rng(9)
+    for interval in (1, 2):
+        cfg = preset("cgd_full", context="multiply", metric_update_interval=interval)
+        st = initial_state(rng.standard_normal(70), cfg)
+        for _ in range(3):
+            grad = rng.standard_normal(70)
+            before = [a.copy() for a in (st.params, st.moments.m1, st.moments.m2, grad)]
+            new = step(st, grad, cfg)
+            after = (st.params, st.moments.m1, st.moments.m2, grad)
+            assert all(np.array_equal(a, b) for a, b in zip(before, after))
+            st = new
+
+
 def test_metric_update_interval_matches_manual_caching():
     cfg = preset("cgd_full", context="rosenbrock", metric_update_interval=4)
     st = initial_state(Q0, cfg)
