@@ -1,145 +1,26 @@
-"""Covariant gradient descent: moment-tracked, metric-preconditioned optimization.
+"""Covariant gradient descent: optimization through a moment-tracked inverse metric.
 
 The optimizer maintains exponential moving averages of the gradient and of
 its second-moment statistic, builds an inverse metric (eps*I + clamp0(C))^(-a)
-from the latter, and steps against the preconditioned first moment. Classical
+from the latter, and steps against the first moment mapped through it. Classical
 methods fall out as exact corners of the configuration space; `preset` names
 them. The harness runs the two bundled benchmarks and writes CSV trajectories.
+
+The layers below the API re-exported here are importable as submodules:
+``cgd.linalg``, ``cgd.moments``, ``cgd.metric``, ``cgd.optimizer``,
+``cgd.problems``, ``cgd.harness`` and ``cgd.cli``.
 """
 
-from .linalg import (
-    DomainError,
-    EigenDecomposition,
-    NonConvergence,
-    apply_inverse_metric,
-    apply_inverse_metric_diag,
-    eigendecompose,
-    sym_matrix_power,
-)
-from .moments import (
-    DIAGONAL,
-    FULL,
-    DimensionMismatch,
-    MomentState,
-    Timescales,
-    covariance,
-    ema_update,
-    update_moments,
-)
-from .metric import (
-    InverseMetricOperator,
-    MetricShape,
-    MetricSpec,
-    MetricStatistic,
-    ModeMismatch,
-    build_inverse_metric,
-    precondition,
-    statistic_values,
-)
-from .optimizer import (
-    HYPERPARAMETERS,
-    PRESET_NAMES,
-    CgdConfig,
-    OptimizerState,
-    UnknownPreset,
-    initial_state,
-    preset,
-    step,
-)
-from .problems import (
-    DEPTH,
-    N_NEURONS,
-    N_PARAMS,
-    DimensionTooSmall,
-    EmptyBatch,
-    MultiplyProblem,
-    RosenbrockProblem,
-    UnconstrainedNet,
-    finite_diff_grad,
-    net_forward,
-    net_loss,
-    net_loss_and_grad,
-    rosenbrock_grad,
-    rosenbrock_loss,
-    sample_batch,
-)
-from .harness import (
-    TAU_PLOT,
-    ConfigError,
-    ExperimentConfig,
-    NumericalError,
-    RunRecord,
-    compare_suite,
-    gradcheck,
-    run_experiment,
-    track_eigenvalues,
-    write_csv,
-)
+from .harness import ExperimentConfig, run_experiment
+from .optimizer import initial_state, preset, step
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # linalg
-    "DomainError",
-    "EigenDecomposition",
-    "NonConvergence",
-    "apply_inverse_metric",
-    "apply_inverse_metric_diag",
-    "eigendecompose",
-    "sym_matrix_power",
-    # moments
-    "DIAGONAL",
-    "FULL",
-    "DimensionMismatch",
-    "MomentState",
-    "Timescales",
-    "covariance",
-    "ema_update",
-    "update_moments",
-    # metric
-    "InverseMetricOperator",
-    "MetricShape",
-    "MetricSpec",
-    "MetricStatistic",
-    "ModeMismatch",
-    "build_inverse_metric",
-    "precondition",
-    "statistic_values",
-    # optimizer
-    "HYPERPARAMETERS",
-    "PRESET_NAMES",
-    "CgdConfig",
-    "OptimizerState",
-    "UnknownPreset",
-    "initial_state",
-    "preset",
-    "step",
-    # problems
-    "DEPTH",
-    "N_NEURONS",
-    "N_PARAMS",
-    "DimensionTooSmall",
-    "EmptyBatch",
-    "MultiplyProblem",
-    "RosenbrockProblem",
-    "UnconstrainedNet",
-    "finite_diff_grad",
-    "net_forward",
-    "net_loss",
-    "net_loss_and_grad",
-    "rosenbrock_grad",
-    "rosenbrock_loss",
-    "sample_batch",
-    # harness
-    "TAU_PLOT",
-    "ConfigError",
     "ExperimentConfig",
-    "NumericalError",
-    "RunRecord",
-    "compare_suite",
-    "gradcheck",
     "run_experiment",
-    "track_eigenvalues",
-    "write_csv",
+    "preset",
+    "initial_state",
+    "step",
 ]

@@ -1,15 +1,15 @@
 """Command-line entry points: run, compare, gradcheck.
 
-Exit codes: 0 success, 2 bad configuration, 3 numerical failure (non-finite
-loss or full-metric statistic mid-run, or a gradient check exceeding
-tolerance).
+Exit codes: 0 success, 2 bad configuration (including a negative seed and an
+output directory or CSV that cannot be written), 3 numerical failure
+(non-finite loss or full-metric statistic mid-run, or a gradient check
+exceeding tolerance).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from .harness import (
     GRADCHECK_TOL,
@@ -19,6 +19,7 @@ from .harness import (
     PROBLEM_NAMES,
     compare_suite,
     gradcheck,
+    make_output_dir,
     run_experiment,
     write_csv,
 )
@@ -56,9 +57,8 @@ def _cmd_run(args, extras) -> int:
     overrides = _parse_override_pairs(extras)
     if overrides:
         cfg = cfg.with_overrides(overrides)
+    out_dir = make_output_dir(cfg.output_dir)
     record = run_experiment(cfg)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / f"{cfg.problem}_{cfg.optimizer}_seed{cfg.seed}.csv"
     write_csv(record, path)
     print(f"{cfg.problem} / {cfg.optimizer}: {cfg.steps} steps, "

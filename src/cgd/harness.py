@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from pathlib import Path
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .linalg import NonFiniteMatrix, eigendecompose
-from .metric import MetricShape, MetricStatistic, ModeMismatch
-from .moments import FULL, MomentState, covariance, ema_update
+from .metric import MetricStatistic, ModeMismatch
+from .moments import MetricShape, MomentState, covariance, ema_update
 from .optimizer import CgdConfig, initial_state, normalize_preset_name, preset, step
 from .problems import MultiplyProblem, RosenbrockProblem, finite_diff_grad
 
@@ -74,6 +75,8 @@ class ExperimentConfig:
             raise ConfigError(f"problem: expected one of {PROBLEM_NAMES}, got {self.problem!r}")
         if self.steps < 1:
             raise ConfigError(f"steps: must be >= 1, got {self.steps}")
+        if self.seed < 0:
+            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
         if self.eig_track_k < 0:
             raise ConfigError(f"eig_track_k: must be >= 0, got {self.eig_track_k}")
         if self.eig_track_interval < 1:
@@ -250,7 +253,7 @@ def track_eigenvalues(
     when the caller already has it (a full covariance metric built from these
     moments); without it the covariance is decomposed here.
     """
-    if moments.mode != FULL:
+    if moments.mode is not MetricShape.FULL:
         raise ModeMismatch("eigenvalue tracking needs full-matrix moments")
     if not 1 <= k <= moments.dim:
         raise ValueError(f"k must be in [1, {moments.dim}], got {k}")
@@ -343,18 +346,34 @@ def csv_header(record: RunRecord) -> list[str]:
     return columns
 
 
+def make_output_dir(out_dir) -> Path:
+    """Create the directory the CSVs go to; failing to is a config error."""
+    out = Path(out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror or exc}") from exc
+    return out
+
+
 def write_csv(record: RunRecord, path) -> None:
-    """Serialize a run record; repr() keeps every float round-trippable."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(csv_header(record)) + "\n")
-        for t in range(record.steps.shape[0]):
-            cells = [str(int(record.steps[t])), repr(float(record.losses[t])),
-                     repr(float(record.smoothed[t]))]
-            if record.params is not None:
-                cells += [repr(float(v)) for v in record.params[t]]
-            if record.eigenvalues is not None:
-                cells += [repr(float(v)) for v in record.eigenvalues[t]]
-            fh.write(",".join(cells) + "\n")
+    """Serialize a run record; repr() keeps every float round-trippable.
+
+    An unwritable path raises :class:`ConfigError`.
+    """
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(",".join(csv_header(record)) + "\n")
+            for t in range(record.steps.shape[0]):
+                cells = [str(int(record.steps[t])), repr(float(record.losses[t])),
+                         repr(float(record.smoothed[t]))]
+                if record.params is not None:
+                    cells += [repr(float(v)) for v in record.params[t]]
+                if record.eigenvalues is not None:
+                    cells += [repr(float(v)) for v in record.eigenvalues[t]]
+                fh.write(",".join(cells) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def compare_suite(
@@ -370,14 +389,11 @@ def compare_suite(
     The full-matrix run on the multiply suite also tracks the top-10
     covariance eigenvalues, matching the spectra-decay figure setup.
     """
-    from pathlib import Path
-
     from .optimizer import PRESET_NAMES
 
     if suite not in PROBLEM_NAMES:
         raise ConfigError(f"suite: expected one of {PROBLEM_NAMES}, got {suite!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_output_dir(out_dir)
     records: dict[str, RunRecord] = {}
     for name in PRESET_NAMES:
         track = 10 if (suite == "multiply" and name == "cgd_full") else 0
@@ -444,6 +460,7 @@ __all__ = [
     "batch_seed_sequence",
     "run_experiment",
     "csv_header",
+    "make_output_dir",
     "write_csv",
     "compare_suite",
     "gradcheck",

@@ -2,7 +2,7 @@
 
 The metric is ``(eps*I + clamp0(S))^power`` where S is either the raw
 second moment or the covariance, restricted to its diagonal or kept as a
-full matrix. Preconditioning applies the inverse, i.e. the ``-power``
+full matrix. The optimizer applies the inverse, i.e. the ``-power``
 operator, to a force vector. ``power = 0`` yields the identity (plain
 gradient descent); ``power = 0.5`` on the diagonal second moment is the
 familiar root-mean-square normalization.
@@ -16,12 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .moments import FULL, DimensionMismatch, MomentState, covariance
-
-
-class MetricShape(str, Enum):
-    DIAGONAL = "diagonal"
-    FULL = "full"
+from .moments import MetricShape, MomentState, covariance
 
 
 class MetricStatistic(str, Enum):
@@ -64,7 +59,7 @@ def statistic_values(state: MomentState, spec: MetricSpec) -> np.ndarray:
     else:
         stat = state.m2
     if spec.shape is MetricShape.FULL:
-        if state.mode != FULL:
+        if state.mode is not MetricShape.FULL:
             raise ModeMismatch("full metric requires a full-mode moment state")
         return stat
     if stat.ndim == 2:
@@ -111,23 +106,11 @@ def build_inverse_metric(state: MomentState, spec: MetricSpec) -> InverseMetricO
     return InverseMetricOperator(weights, None, state.step)
 
 
-def precondition(force, state: MomentState, spec: MetricSpec) -> np.ndarray:
-    """Apply the inverse metric built from ``state`` to a force vector."""
-    force = np.asarray(force, dtype=np.float64)
-    if force.shape != (state.dim,):
-        raise DimensionMismatch(
-            f"force shape {force.shape} does not match state dimension {state.dim}"
-        )
-    return build_inverse_metric(state, spec).apply(force)
-
-
 __all__ = [
-    "MetricShape",
     "MetricStatistic",
     "MetricSpec",
     "ModeMismatch",
     "InverseMetricOperator",
     "statistic_values",
     "build_inverse_metric",
-    "precondition",
 ]

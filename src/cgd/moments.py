@@ -11,11 +11,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 
 import numpy as np
 
-DIAGONAL = "diagonal"
-FULL = "full"
+
+class MetricShape(str, Enum):
+    """How the second moment is stored, and so what shape of metric it feeds:
+    a per-coordinate vector or a full d x d matrix."""
+
+    DIAGONAL = "diagonal"
+    FULL = "full"
+
 
 # Rows of the d x d second moment folded per block in a full-mode update;
 # 64 rows of a 552-wide matrix are about 280 KB, which stays in cache.
@@ -54,16 +61,11 @@ class MomentState:
     step: int = 0
 
     @classmethod
-    def initial(cls, dim: int, mode: str = DIAGONAL) -> "MomentState":
+    def initial(cls, dim: int, shape: MetricShape | str = MetricShape.DIAGONAL) -> "MomentState":
         """Fresh state: zero first moment, identity second moment."""
         if dim < 1:
             raise ValueError("dim must be >= 1")
-        if mode == DIAGONAL:
-            m2 = np.ones(dim)
-        elif mode == FULL:
-            m2 = np.eye(dim)
-        else:
-            raise ValueError(f"unknown moment mode {mode!r}")
+        m2 = np.eye(dim) if MetricShape(shape) is MetricShape.FULL else np.ones(dim)
         return cls(m1=np.zeros(dim), m2=m2, step=0)
 
     @property
@@ -71,8 +73,8 @@ class MomentState:
         return self.m1.shape[0]
 
     @property
-    def mode(self) -> str:
-        return FULL if self.m2.ndim == 2 else DIAGONAL
+    def mode(self) -> MetricShape:
+        return MetricShape.FULL if self.m2.ndim == 2 else MetricShape.DIAGONAL
 
 
 def ema_update(prev, sample, tau: float):
@@ -100,7 +102,7 @@ def update_moments(state: MomentState, grad, ts: Timescales) -> MomentState:
         raise DimensionMismatch(
             f"gradient shape {grad.shape} does not match state dimension {state.dim}"
         )
-    if state.mode == FULL:
+    if state.mode is MetricShape.FULL:
         m2 = np.outer(grad, grad)
         m2 /= 1.0 + ts.tau2
         retain = ts.tau2 / (1.0 + ts.tau2)
@@ -122,15 +124,14 @@ def covariance(state: MomentState) -> np.ndarray:
     May contain negative entries (or eigenvalues) when the two timescales
     differ; consumers clamp at zero before taking fractional powers.
     """
-    if state.mode == FULL:
+    if state.mode is MetricShape.FULL:
         cov = np.outer(state.m1, state.m1)
         return np.subtract(state.m2, cov, out=cov)
     return state.m2 - state.m1 * state.m1
 
 
 __all__ = [
-    "DIAGONAL",
-    "FULL",
+    "MetricShape",
     "DimensionMismatch",
     "Timescales",
     "MomentState",

@@ -1,8 +1,8 @@
 """The covariant gradient descent step and its classical-method presets.
 
 One update does two things, in order: fold the incoming gradient into the
-moment state, then move the parameters against the preconditioned first
-moment,
+moment state, then move the parameters against the first moment mapped
+through the inverse metric,
 
     q  <-  q - gamma * (eps*I + clamp0(S))^(-power) @ m1,
 
@@ -19,18 +19,13 @@ well scaled. Classical references used in tests follow the same convention.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .metric import (
-    InverseMetricOperator,
-    MetricShape,
-    MetricSpec,
-    MetricStatistic,
-    build_inverse_metric,
-)
-from .moments import DIAGONAL, FULL, MomentState, Timescales, update_moments
+from .metric import InverseMetricOperator, MetricSpec, MetricStatistic, build_inverse_metric
+from .moments import MetricShape, MomentState, Timescales, update_moments
 
 
 class UnknownPreset(KeyError):
@@ -52,8 +47,8 @@ class CgdConfig:
     metric_update_interval: int = 1
 
     def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be > 0, got {self.gamma}")
+        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
+            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
         if self.metric_update_interval < 1:
             raise ValueError("metric_update_interval must be >= 1")
 
@@ -79,8 +74,8 @@ class OptimizerState:
 def initial_state(params, cfg: CgdConfig) -> OptimizerState:
     """Fresh optimizer state for the given starting parameters."""
     params = np.asarray(params, dtype=np.float64)
-    mode = FULL if cfg.metric.shape is MetricShape.FULL else DIAGONAL
-    return OptimizerState(params=params, moments=MomentState.initial(params.shape[0], mode))
+    moments = MomentState.initial(params.shape[0], cfg.metric.shape)
+    return OptimizerState(params=params, moments=moments)
 
 
 def step(state: OptimizerState, grad, cfg: CgdConfig) -> OptimizerState:

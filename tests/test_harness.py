@@ -1,10 +1,14 @@
 import os
 import subprocess
 import sys
+import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cgd
 from cgd import cli, harness
@@ -21,7 +25,7 @@ from cgd.harness import (
     write_csv,
 )
 from cgd.metric import ModeMismatch
-from cgd.moments import FULL, MomentState, Timescales, covariance, update_moments
+from cgd.moments import MetricShape, MomentState, Timescales, covariance, update_moments
 from cgd.problems import rosenbrock_grad, rosenbrock_loss
 
 
@@ -47,6 +51,10 @@ def test_field_validation_messages():
         ExperimentConfig(problem="quartic")
     with pytest.raises(ConfigError, match="steps"):
         ExperimentConfig(steps=0)
+    with pytest.raises(ConfigError, match="seed"):
+        ExperimentConfig(problem="multiply", seed=-1)
+    with pytest.raises(ConfigError, match="gamma"):
+        ExperimentConfig(gamma=float("inf"))
     with pytest.raises(ConfigError, match="batch_size"):
         ExperimentConfig(problem="rosenbrock", batch_size=10)
     with pytest.raises(ConfigError, match="dim"):
@@ -188,13 +196,13 @@ def test_batch_seed_sequence_properties():
 
 
 def test_track_eigenvalues_fresh_state_is_identity():
-    st = MomentState.initial(5, FULL)
+    st = MomentState.initial(5, MetricShape.FULL)
     assert np.array_equal(track_eigenvalues(st, 3), np.ones(3))
 
 
 def test_track_eigenvalues_zero_variance_limit():
     g = np.array([1.5, -2.0, 0.5])
-    st = update_moments(MomentState.initial(3, FULL), g, Timescales(0.0, 0.0))
+    st = update_moments(MomentState.initial(3, MetricShape.FULL), g, Timescales(0.0, 0.0))
     assert np.array_equal(track_eigenvalues(st, 3), np.zeros(3))
 
 
@@ -211,9 +219,9 @@ def test_track_eigenvalues_errors():
     with pytest.raises(ModeMismatch):
         track_eigenvalues(MomentState.initial(3), 2)
     with pytest.raises(ValueError):
-        track_eigenvalues(MomentState.initial(3, FULL), 0)
+        track_eigenvalues(MomentState.initial(3, MetricShape.FULL), 0)
     with pytest.raises(ValueError):
-        track_eigenvalues(MomentState.initial(3, FULL), 4)
+        track_eigenvalues(MomentState.initial(3, MetricShape.FULL), 4)
 
 
 def test_eigenvalues_carried_between_tracking_steps():
@@ -264,7 +272,7 @@ def test_second_moment_metric_tracks_covariance_eigenvalues(monkeypatch):
     # after one step from (0, 0.5) the first moment is far from zero, so the
     # covariance and the raw second moment have different spectra
     g = rosenbrock_grad(np.array([0.0, 0.5]))
-    st = update_moments(MomentState.initial(2, FULL), g, Timescales(10.9, 9.46))
+    st = update_moments(MomentState.initial(2, MetricShape.FULL), g, Timescales(10.9, 9.46))
     cov_top = np.maximum(np.linalg.eigvalsh(covariance(st)), 0.0)[::-1]
     m2_top = np.linalg.eigvalsh(st.m2)[::-1]
     assert np.allclose(rec.eigenvalues[0], cov_top, rtol=1e-12)
@@ -387,6 +395,18 @@ def test_cli_config_errors(tmp_path):
     assert cli.main(["run", "--config", ok, "--stepz", "1"]) == 2
     assert cli.main(["run", "--config", ok, "--steps"]) == 2
     assert cli.main(["run", "--config", ok, "--steps", "0"]) == 2
+    assert cli.main(["run", "--config", ok, "--gamma", "inf"]) == 2
+    assert cli.main(["compare", "--suite", "rosenbrock", "--out", str(tmp_path / "cmp"),
+                     "--steps", "2", "--seed", "-1"]) == 2
+    # an output directory beneath a regular file cannot be created
+    blocker = tmp_path / "blocker"
+    blocker.write_text("")
+    assert cli.main(["run", "--config", ok, "--output_dir", str(blocker / "runs")]) == 2
+    assert cli.main(["compare", "--suite", "rosenbrock", "--out", str(blocker / "cmp"),
+                     "--steps", "2"]) == 2
+    # a CSV path taken by a directory cannot be written
+    (tmp_path / "taken" / "rosenbrock_cgd_diagonal_seed0.csv").mkdir(parents=True)
+    assert cli.main(["run", "--config", ok, "--output_dir", str(tmp_path / "taken")]) == 2
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
@@ -421,3 +441,61 @@ def test_cli_gradcheck(capsys):
     assert cli.main(["gradcheck", "--problem", "rosenbrock"]) == 0
     out = capsys.readouterr().out
     assert "max relative error" in out
+
+
+# --- fuzzed configs ------------------------------------------------------------
+
+_NAMED_FIELDS = {"problem": ["rosenbrock", "multiply"],
+                 "optimizer": ["sgd", "adam", "adabelief", "cgd_diagonal", "cgd_full", "cgd-diag"],
+                 "statistic": ["covariance", "second_moment"]}
+_KNOWN_FIELDS = sorted({f.name for f in fields(ExperimentConfig)} - {"steps", "output_dir"})
+# config-file text: no line breaks or other control characters, no comment mark
+_JUNK = st.text(st.characters(blacklist_categories=("Cs", "Cc"), blacklist_characters="#"),
+                max_size=12)
+# repr gives "nan", "inf" and "-inf" for the non-finite values
+_FLOAT = (st.floats(0.0, 1.0) | st.floats()).map(repr)
+
+
+def _value(key):
+    if key in harness._INT_KEYS:
+        # small magnitudes keep dimensions and batches small
+        typed = st.integers(-3, 6).map(str)
+    elif key == "q0":
+        typed = st.lists(_FLOAT, min_size=1, max_size=3).map(",".join)
+    elif key in _NAMED_FIELDS:
+        typed = st.sampled_from(_NAMED_FIELDS[key])
+    else:
+        typed = _FLOAT
+    # mostly well-typed values, so that many files pass validation and run
+    return st.one_of(typed, typed, typed, _JUNK)
+
+
+@st.composite
+def _configs(draw):
+    mapping = {"steps": draw(st.sampled_from(["1", "2", "3", "0", "-1"]))}
+    for key in draw(st.lists(st.sampled_from(_KNOWN_FIELDS), max_size=3, unique=True)):
+        mapping[key] = draw(_value(key))
+    if draw(st.integers(0, 4)) == 0:
+        unknown = draw(st.from_regex(r"[a-z_]{1,10}", fullmatch=True))
+        mapping.setdefault(unknown, draw(_JUNK))
+    return mapping
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=200, deadline=None)
+@given(mapping=_configs(), where=st.sampled_from(["out", "a/b", "blocker/out", "blocker"]))
+@example(mapping={"steps": "2", "problem": "multiply", "optimizer": "adam", "seed": "-1"},
+         where="out")
+@example(mapping={"steps": "2"}, where="blocker/out")
+@example(mapping={"steps": "2", "gamma": "inf"}, where="out")
+def test_cli_run_exit_codes_under_fuzzed_configs(mapping, where):
+    # every config file either runs (0), is refused (2) or fails numerically
+    # (3); none may end in a traceback. "blocker" is a regular file.
+    with tempfile.TemporaryDirectory() as tmp:
+        base = Path(tmp)
+        (base / "blocker").write_text("")
+        lines = [f"{key} = {value}" for key, value in mapping.items()]
+        lines.append(f"output_dir = {base / where}")
+        cfg = base / "run.cfg"
+        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert cli.main(["run", "--config", str(cfg)]) in (0, 2, 3)

@@ -1,20 +1,25 @@
+"""The checked eigendecomposition, and the fractional powers of a statistic
+that the inverse-metric operator takes on its spectrum."""
+
 import numpy as np
 import pytest
 
-from cgd.linalg import (
-    DomainError,
-    NonConvergence,
-    NonFiniteMatrix,
-    apply_inverse_metric,
-    apply_inverse_metric_diag,
-    eigendecompose,
-    sym_matrix_power,
-)
+from cgd.linalg import NonFiniteMatrix, eigendecompose
+from cgd.metric import MetricSpec, build_inverse_metric
+from cgd.moments import MomentState
 
 
 def random_symmetric(rng, d, scale=1.0):
     a = rng.standard_normal((d, d)) * scale
     return (a + a.T) / 2.0
+
+
+def inverse_metric(m2, power, eps, shape="full"):
+    """The runtime operator (eps*I + clamp0(m2))^(-power) over a state whose
+    second moment is ``m2`` (a matrix, or a vector for a diagonal state)."""
+    m2 = np.asarray(m2, dtype=np.float64)
+    state = MomentState(m1=np.zeros(m2.shape[0]), m2=m2, step=1)
+    return build_inverse_metric(state, MetricSpec(shape, "second_moment", power, eps=eps))
 
 
 def test_two_by_two_known_spectrum():
@@ -36,24 +41,14 @@ def test_diagonal_matrix_sorted_ascending():
     assert np.array_equal(w, [-3.0, 5.0])
 
 
-@pytest.mark.parametrize("method", ["jacobi", "lapack"])
 @pytest.mark.parametrize("d", [2, 3, 8, 17])
-def test_reconstruction(method, d):
+def test_reconstruction(d):
     rng = np.random.default_rng(d)
     a = random_symmetric(rng, d, scale=3.0)
-    w, v = eigendecompose(a, method=method)
+    w, v = eigendecompose(a)
     assert np.all(np.diff(w) >= 0)
     assert np.allclose(v @ np.diag(w) @ v.T, a, atol=1e-9)
     assert np.allclose(v.T @ v, np.eye(d), atol=1e-12)
-
-
-def test_auto_switches_backend_above_limit():
-    # both ends of the "auto" policy must satisfy the same contract
-    rng = np.random.default_rng(0)
-    for d in (32, 40):
-        a = random_symmetric(rng, d)
-        w, v = eigendecompose(a, method="auto")
-        assert np.allclose(v @ np.diag(w) @ v.T, a, atol=1e-9)
 
 
 def test_rotation_equivariance_of_spectrum():
@@ -73,53 +68,28 @@ def test_rejects_bad_input():
     with pytest.raises(NonFiniteMatrix):
         eigendecompose([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(NonFiniteMatrix):
-        eigendecompose([[np.inf, 0.0], [0.0, 1.0]], method="lapack")
+        eigendecompose([[np.inf, 0.0], [0.0, 1.0]])
     assert issubclass(NonFiniteMatrix, ValueError)
-    with pytest.raises(ValueError):
-        eigendecompose(np.eye(2), method="qr")
-
-
-def test_jacobi_nonconvergence_when_sweeps_exhausted():
-    a = [[2.0, 1.0], [1.0, 2.0]]
-    with pytest.raises(NonConvergence):
-        eigendecompose(a, method="jacobi", max_sweeps=0)
 
 
 def test_matrix_power_composition():
+    # the operator at power p is spd^(-p) when eps is negligible next to the
+    # spectrum, so powers -1/2, -1, 0 and 1 give a square root of spd, spd
+    # itself, the identity and its inverse
     rng = np.random.default_rng(3)
     a = random_symmetric(rng, 5)
     spd = a @ a.T + 0.1 * np.eye(5)
     spd = (spd + spd.T) / 2.0
-    half = sym_matrix_power(spd, 0.5)
+
+    def dense(power):
+        op = inverse_metric(spd, power, 1e-300)
+        return np.column_stack([op.apply(col) for col in np.eye(5)])
+
+    half = dense(-0.5)
     assert np.allclose(half @ half, spd, atol=1e-8)
-    assert np.allclose(sym_matrix_power(spd, 1.0), spd, atol=1e-10)
-    assert np.allclose(sym_matrix_power(spd, 0.0), np.eye(5), atol=1e-12)
-    inv = sym_matrix_power(spd, -1.0)
-    assert np.allclose(inv @ spd, np.eye(5), atol=1e-8)
-
-
-def test_matrix_power_result_exactly_symmetric():
-    rng = np.random.default_rng(11)
-    a = random_symmetric(rng, 6)
-    spd = a @ a.T + np.eye(6)
-    b = sym_matrix_power((spd + spd.T) / 2.0, 0.3)
-    assert np.array_equal(b, b.T)
-
-
-def test_fractional_power_of_indefinite_matrix():
-    # [[0, 0.5], [0.5, 0]] has eigenvalues -0.5 and 0.5
-    c = [[0.0, 0.5], [0.5, 0.0]]
-    with pytest.raises(DomainError):
-        sym_matrix_power(c, 0.5)
-    # integer powers stay legal without a floor
-    sq = sym_matrix_power(c, 2.0)
-    assert np.allclose(sq, 0.25 * np.eye(2), atol=1e-14)
-    # a floor clamps the negative branch: eigenvalues become (floor, 0.5)
-    clamped = sym_matrix_power(c, 0.5, floor=0.5)
-    w, _ = eigendecompose(clamped)
-    assert np.allclose(w, [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-12)
-    with pytest.raises(ValueError):
-        sym_matrix_power(c, 0.5, floor=-1.0)
+    assert np.allclose(dense(-1.0), spd, atol=1e-10)
+    assert np.allclose(dense(0.0), np.eye(5), atol=1e-12)
+    assert np.allclose(dense(1.0) @ spd, np.eye(5), atol=1e-8)
 
 
 def test_apply_inverse_metric_matches_dense_power():
@@ -127,7 +97,7 @@ def test_apply_inverse_metric_matches_dense_power():
     c = random_symmetric(rng, 7)
     f = rng.standard_normal(7)
     eps, a = 1e-3, 0.37
-    got = apply_inverse_metric(c, a, eps, f)
+    got = inverse_metric(c, a, eps).apply(f)
     w, v = eigendecompose(c)
     dense = (v * (np.maximum(w, 0.0) + eps) ** (-a)) @ v.T
     assert np.allclose(got, dense @ f, atol=1e-10)
@@ -139,29 +109,33 @@ def test_clamp_happens_before_shift():
     c = np.array([[0.0, 0.5], [0.5, 0.0]])
     minus = np.array([1.0, -1.0]) / np.sqrt(2.0)  # eigenvector of -0.5
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    out_minus = apply_inverse_metric(c, 0.5, 1.0, minus)
-    out_plus = apply_inverse_metric(c, 0.5, 1.0, plus)
+    op = inverse_metric(c, 0.5, 1.0)
+    out_minus = op.apply(minus)
+    out_plus = op.apply(plus)
     assert np.allclose(out_minus, minus, atol=1e-12)
     assert np.allclose(out_plus, plus / np.sqrt(1.5), atol=1e-12)
 
 
 def test_diagonal_path_matches_full_path():
+    # a diagonal spec reads diag(m2) of a full-mode state and skips the
+    # eigendecomposition; on a diagonal m2 it must agree with the full spec
     rng = np.random.default_rng(9)
-    values = rng.uniform(-1.0, 4.0, size=6)
+    m2 = np.diag(rng.uniform(-1.0, 4.0, size=6))
     f = rng.standard_normal(6)
-    fast = apply_inverse_metric_diag(values, 0.41, 1e-8, f)
-    full = apply_inverse_metric(np.diag(values), 0.41, 1e-8, f)
-    assert np.allclose(fast, full, atol=1e-12)
+    fast = inverse_metric(m2, 0.41, 1e-8, shape="diagonal")
+    full = inverse_metric(m2, 0.41, 1e-8)
+    assert fast.basis is None and full.basis is not None
+    assert np.allclose(fast.apply(f), full.apply(f), atol=1e-12)
 
 
 def test_power_zero_is_identity_bitwise():
     f = np.array([0.123456789, -9.87654321e3, 1e-12])
-    out = apply_inverse_metric_diag(np.array([4.0, 0.5, 7.0]), 0.0, 1e-8, f)
+    out = inverse_metric([4.0, 0.5, 7.0], 0.0, 1e-8, shape="diagonal").apply(f)
     assert np.array_equal(out, f)
 
 
 def test_eps_must_be_positive():
     with pytest.raises(ValueError):
-        apply_inverse_metric(np.eye(2), 0.5, 0.0, np.ones(2))
+        MetricSpec("full", "second_moment", 0.5, eps=0.0)
     with pytest.raises(ValueError):
-        apply_inverse_metric_diag(np.ones(2), 0.5, -1.0, np.ones(2))
+        MetricSpec("diagonal", "second_moment", 0.5, eps=-1.0)

@@ -8,21 +8,13 @@ from cgd.metric import (
     MetricStatistic,
     ModeMismatch,
     build_inverse_metric,
-    precondition,
     statistic_values,
 )
-from cgd.moments import (
-    DIAGONAL,
-    FULL,
-    DimensionMismatch,
-    MomentState,
-    Timescales,
-    update_moments,
-)
+from cgd.moments import MetricShape, MomentState, Timescales, update_moments
 
 
 def full_state(rng, d=4, steps=12, ts=Timescales(3.0, 8.0)):
-    st = MomentState.initial(d, FULL)
+    st = MomentState.initial(d, MetricShape.FULL)
     for _ in range(steps):
         st = update_moments(st, rng.standard_normal(d), ts)
     return st
@@ -43,7 +35,7 @@ def test_spec_accepts_strings_and_validates():
 
 def test_statistic_values_diagonal_state():
     g = np.array([2.0, -1.0])
-    st = update_moments(MomentState.initial(2, DIAGONAL), g, Timescales(0.0, 0.0))
+    st = update_moments(MomentState.initial(2, MetricShape.DIAGONAL), g, Timescales(0.0, 0.0))
     raw = statistic_values(st, MetricSpec("diagonal", "second_moment", 0.5))
     assert np.array_equal(raw, g * g)
     centered = statistic_values(st, MetricSpec("diagonal", "covariance", 0.5))
@@ -59,7 +51,7 @@ def test_statistic_values_full_state_diag_restriction():
 
 
 def test_full_metric_needs_full_state():
-    st = MomentState.initial(3, DIAGONAL)
+    st = MomentState.initial(3, MetricShape.DIAGONAL)
     with pytest.raises(ModeMismatch):
         statistic_values(st, MetricSpec("full", "second_moment", 0.5))
 
@@ -102,18 +94,11 @@ def test_precondition_matches_dense_computation():
     st = full_state(rng, d=5)
     f = rng.standard_normal(5)
     spec = MetricSpec("full", "covariance", 0.4, eps=1e-6)
-    got = precondition(f, st, spec)
+    got = build_inverse_metric(st, spec).apply(f)
     cov = st.m2 - np.outer(st.m1, st.m1)
     w, v = eigendecompose(cov)
     dense = (v * (np.maximum(w, 0.0) + 1e-6) ** -0.4) @ v.T
     assert np.allclose(got, dense @ f, atol=1e-10)
-
-
-def test_precondition_dimension_check():
-    st = MomentState.initial(3)
-    spec = MetricSpec("diagonal", "second_moment", 0.5)
-    with pytest.raises(DimensionMismatch):
-        precondition(np.ones(2), st, spec)
 
 
 def test_power_zero_diagonal_identity_bitwise():

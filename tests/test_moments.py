@@ -3,8 +3,7 @@ import pytest
 
 from cgd.moments import (
     BLOCK_ROWS,
-    DIAGONAL,
-    FULL,
+    MetricShape,
     DimensionMismatch,
     MomentState,
     Timescales,
@@ -61,14 +60,15 @@ def test_ema_rejects_bad_tau():
 
 
 def test_initial_state():
-    diag = MomentState.initial(3, DIAGONAL)
+    diag = MomentState.initial(3, MetricShape.DIAGONAL)
     assert np.array_equal(diag.m1, np.zeros(3))
     assert np.array_equal(diag.m2, np.ones(3))
-    assert diag.step == 0 and diag.mode == DIAGONAL and diag.dim == 3
+    assert diag.step == 0 and diag.mode is MetricShape.DIAGONAL and diag.dim == 3
 
-    full = MomentState.initial(3, FULL)
+    full = MomentState.initial(3, MetricShape.FULL)
     assert np.array_equal(full.m2, np.eye(3))
-    assert full.mode == FULL
+    assert full.mode is MetricShape.FULL
+    assert MomentState.initial(3, "full").mode is MetricShape.FULL
 
     with pytest.raises(ValueError):
         MomentState.initial(0)
@@ -79,19 +79,19 @@ def test_initial_state():
 def test_update_with_zero_timescales_replaces_state():
     g = np.array([2.0, -3.0])
     ts = Timescales(0.0, 0.0)
-    st = update_moments(MomentState.initial(2, FULL), g, ts)
+    st = update_moments(MomentState.initial(2, MetricShape.FULL), g, ts)
     assert np.array_equal(st.m1, g)
     assert np.array_equal(st.m2, np.outer(g, g))
     assert st.step == 1
 
-    st_d = update_moments(MomentState.initial(2, DIAGONAL), g, ts)
+    st_d = update_moments(MomentState.initial(2, MetricShape.DIAGONAL), g, ts)
     assert np.array_equal(st_d.m2, g * g)
 
 
 def test_update_sequence_matches_manual_recursion():
     rng = np.random.default_rng(1)
     ts = Timescales(9.0, 999.0)
-    st = MomentState.initial(4, DIAGONAL)
+    st = MomentState.initial(4, MetricShape.DIAGONAL)
     m1 = np.zeros(4)
     m2 = np.ones(4)
     for _ in range(50):
@@ -107,7 +107,7 @@ def test_update_sequence_matches_manual_recursion():
 def test_full_mode_m2_stays_exactly_symmetric():
     rng = np.random.default_rng(2)
     ts = Timescales(5.0, 11.0)
-    st = MomentState.initial(5, FULL)
+    st = MomentState.initial(5, MetricShape.FULL)
     for _ in range(30):
         st = update_moments(st, rng.standard_normal(5), ts)
     assert np.array_equal(st.m2, st.m2.T)
@@ -122,12 +122,12 @@ def test_dimension_mismatch():
 def test_covariance_formula():
     g = np.array([1.0, 2.0])
     ts = Timescales(0.0, 3.0)
-    st = update_moments(MomentState.initial(2, FULL), g, ts)
+    st = update_moments(MomentState.initial(2, MetricShape.FULL), g, ts)
     # m1 = g, m2 = gg^T/4 + I*3/4; covariance picks up the -gg^T
     expected = np.outer(g, g) / 4.0 + np.eye(2) * 0.75 - np.outer(g, g)
     assert np.allclose(covariance(st), expected, atol=1e-15)
 
-    st_d = update_moments(MomentState.initial(2, DIAGONAL), g, ts)
+    st_d = update_moments(MomentState.initial(2, MetricShape.DIAGONAL), g, ts)
     assert np.allclose(covariance(st_d), g * g / 4.0 + 0.75 - g * g, atol=1e-15)
 
 
@@ -164,7 +164,7 @@ def test_covariance_can_be_indefinite_under_two_timescales():
     # fast m1, slow m2: after a large constant gradient the centered moment
     # goes negative because m1^2 outruns m2
     ts = Timescales(0.0, 50.0)
-    st = MomentState.initial(1, DIAGONAL)
+    st = MomentState.initial(1, MetricShape.DIAGONAL)
     for _ in range(5):
         st = update_moments(st, np.array([10.0]), ts)
     assert covariance(st)[0] < 0.0

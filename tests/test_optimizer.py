@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from cgd.metric import MetricShape, MetricSpec, MetricStatistic, build_inverse_metric
-from cgd.moments import FULL, MomentState, Timescales, update_moments
+from cgd.metric import MetricSpec, MetricStatistic, build_inverse_metric
+from cgd.moments import MetricShape, MomentState, Timescales, update_moments
 from cgd.optimizer import (
     HYPERPARAMETERS,
     PRESET_NAMES,
@@ -119,7 +119,7 @@ def test_doubling_gamma_doubles_first_displacement():
 
 def test_initial_state_mode_follows_metric_shape():
     full_cfg = preset("cgd_full")
-    assert initial_state(Q0, full_cfg).moments.mode == FULL
+    assert initial_state(Q0, full_cfg).moments.mode is MetricShape.FULL
     diag_cfg = preset("cgd_diagonal")
     assert initial_state(Q0, diag_cfg).moments.m2.ndim == 1
 
@@ -184,7 +184,7 @@ def test_metric_update_interval_matches_manual_caching():
     cfg = preset("cgd_full", context="rosenbrock", metric_update_interval=4)
     st = initial_state(Q0, cfg)
     q = Q0.copy()
-    moments = MomentState.initial(2, FULL)
+    moments = MomentState.initial(2, MetricShape.FULL)
     op = None
     for t in range(10):
         g = rosenbrock_gradient(q)
