@@ -37,9 +37,9 @@ def _parse_override_pairs(extras: list[str]) -> dict[str, str]:
         token = extras[i]
         if not token.startswith("--") or len(token) == 2:
             raise ConfigError(f"expected --key value overrides, got {token!r}")
-        key = token[2:].replace("-", "_")
-        if "=" in key:
-            key, value = key.split("=", 1)
+        key, inline, value = token[2:].partition("=")
+        key = key.replace("-", "_")
+        if inline:
             i += 1
         else:
             if i + 1 >= len(extras):
@@ -53,10 +53,7 @@ def _parse_override_pairs(extras: list[str]) -> dict[str, str]:
 
 
 def _cmd_run(args, extras) -> int:
-    cfg = ExperimentConfig.from_file(args.config)
-    overrides = _parse_override_pairs(extras)
-    if overrides:
-        cfg = cfg.with_overrides(overrides)
+    cfg = ExperimentConfig.from_file(args.config).with_overrides(_parse_override_pairs(extras))
     out_dir = make_output_dir(cfg.output_dir)
     record = run_experiment(cfg)
     path = out_dir / f"{cfg.problem}_{cfg.optimizer}_seed{cfg.seed}.csv"
@@ -69,15 +66,13 @@ def _cmd_run(args, extras) -> int:
 
 
 def _cmd_compare(args) -> int:
-    records = compare_suite(
-        args.suite,
-        args.out,
-        steps=args.steps,
-        seed=args.seed,
-        metric_update_interval=args.metric_update_interval,
-    )
+    # a flag left off is absent from args, so its ExperimentConfig default applies
+    settings = {key: value for key, value in vars(args).items()
+                if key not in ("command", "suite", "out")}
+    records = compare_suite(args.suite, args.out, **settings)
+    cfg = next(iter(records.values())).config
     width = max(len(name) for name in records)
-    print(f"{args.suite} suite, {args.steps} steps, seed {args.seed}")
+    print(f"{args.suite} suite, {cfg.steps} steps, seed {cfg.seed}")
     for name, record in records.items():
         print(f"  {name:<{width}}  final loss {record.losses[-1]:>12.6g}  "
               f"smoothed {record.smoothed[-1]:>12.6g}")
@@ -106,12 +101,13 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute one configured run and write its CSV")
     run.add_argument("--config", required=True, help="flat key = value config file")
 
-    compare = sub.add_parser("compare", help="run all presets on one benchmark suite")
+    compare = sub.add_parser("compare", help="run all presets on one benchmark suite",
+                             argument_default=argparse.SUPPRESS)
     compare.add_argument("--suite", required=True, choices=PROBLEM_NAMES)
     compare.add_argument("--out", required=True, help="directory for per-optimizer CSVs")
-    compare.add_argument("--steps", type=int, default=5000)
-    compare.add_argument("--seed", type=int, default=0)
-    compare.add_argument("--metric-update-interval", type=int, default=1)
+    compare.add_argument("--steps", type=int)
+    compare.add_argument("--seed", type=int)
+    compare.add_argument("--metric-update-interval", type=int)
 
     check = sub.add_parser("gradcheck", help="compare analytic gradients to finite differences")
     check.add_argument("--problem", default="all", choices=PROBLEM_NAMES + ("all",))

@@ -13,8 +13,9 @@ Config files are flat ``key = value`` text; unknown keys are hard errors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 from numpy.typing import NDArray
@@ -22,7 +23,8 @@ from numpy.typing import NDArray
 from .linalg import NonFiniteMatrix, eigendecompose
 from .metric import MetricStatistic, ModeMismatch
 from .moments import MetricShape, MomentState, covariance, ema_update
-from .optimizer import CgdConfig, initial_state, normalize_preset_name, preset, step
+from .optimizer import (PRESET_NAMES, CgdConfig, initial_state, normalize_preset_name,
+                        preset, step)
 from .problems import MultiplyProblem, RosenbrockProblem, finite_diff_grad
 
 TAU_PLOT = 20.0
@@ -46,10 +48,11 @@ class NumericalError(RuntimeError):
 class ExperimentConfig:
     """One optimization run, fully specified.
 
-    gamma/tau1/tau2/power/eps/statistic left as None fall back to the named
-    preset's tuned values for the chosen problem. dim and q0 apply to
-    rosenbrock only, batch_size to multiply only; setting one for the wrong
-    problem is a config error rather than a silent ignore.
+    gamma/tau1/tau2/power/statistic left as None fall back to the named
+    preset's tuned values for the chosen problem, and eps to the metric's
+    default. dim and q0 apply to rosenbrock only, batch_size to multiply
+    only; setting one for the wrong problem is a config error rather than a
+    silent ignore.
     """
 
     problem: str = "rosenbrock"
@@ -82,10 +85,6 @@ class ExperimentConfig:
         if self.eig_track_interval < 1:
             raise ConfigError(
                 f"eig_track_interval: must be >= 1, got {self.eig_track_interval}"
-            )
-        if self.metric_update_interval < 1:
-            raise ConfigError(
-                f"metric_update_interval: must be >= 1, got {self.metric_update_interval}"
             )
         if self.problem == "rosenbrock":
             if self.batch_size is not None:
@@ -124,31 +123,17 @@ class ExperimentConfig:
         return MultiplyProblem(batch_size=100 if self.batch_size is None else self.batch_size)
 
     def optimizer_config(self) -> CgdConfig:
+        keys = ("gamma", "tau1", "tau2", "power", "eps", "statistic")
+        tuned = {key: getattr(self, key) for key in keys if getattr(self, key) is not None}
         try:
-            return preset(
-                self.optimizer,
-                self.gamma,
-                context=self.problem,
-                tau1=self.tau1,
-                tau2=self.tau2,
-                power=self.power,
-                eps=1e-8 if self.eps is None else self.eps,
-                statistic=self.statistic,
-                metric_update_interval=self.metric_update_interval,
-            )
+            return preset(self.optimizer, context=self.problem,
+                          metric_update_interval=self.metric_update_interval, **tuned)
         except (KeyError, ValueError) as exc:
             raise ConfigError(f"optimizer: {exc}") from exc
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(mapping) - known)
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-        kwargs = {}
-        for key, raw in mapping.items():
-            kwargs[key] = _coerce(key, raw)
-        return cls(**kwargs)
+        return cls(**_parse(mapping))
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -173,56 +158,52 @@ class ExperimentConfig:
         return cls.from_mapping(mapping)
 
     def with_overrides(self, overrides: dict) -> "ExperimentConfig":
-        known = {f.name for f in fields(self)}
-        unknown = sorted(set(overrides) - known)
-        if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-        coerced = {key: _coerce(key, value) for key, value in overrides.items()}
-        return replace(self, **coerced)
+        return replace(self, **_parse(overrides))
 
 
-_INT_KEYS = {"steps", "seed", "dim", "batch_size", "eig_track_k", "eig_track_interval",
-             "metric_update_interval"}
-_FLOAT_KEYS = {"gamma", "tau1", "tau2", "power", "eps"}
-_STR_KEYS = {"problem", "optimizer", "statistic", "output_dir"}
+def _value_type(hint) -> type:
+    """The type a field declares: ``int | None`` -> int, ``tuple[float, ...]`` -> tuple."""
+    hint = next((arg for arg in get_args(hint) if arg is not type(None)), hint)
+    return get_origin(hint) or hint
+
+
+_FIELD_TYPES = {key: _value_type(hint) for key, hint in get_type_hints(ExperimentConfig).items()}
+
+
+def _parse(mapping: dict) -> dict:
+    """Type each value by its ExperimentConfig field; an unknown key is an error."""
+    unknown = sorted(set(mapping) - set(_FIELD_TYPES))
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    return {key: _coerce(key, raw) for key, raw in mapping.items()}
 
 
 def _coerce(key: str, raw):
     """Turn a config-file string (or an already-typed value) into the field type."""
     if raw is None:
         return None
-    if key in _INT_KEYS:
-        if isinstance(raw, bool):
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}")
-        if isinstance(raw, int):
-            return raw
+    kind = _FIELD_TYPES[key]
+    if kind in (int, float):
+        # str() of a typed value parses back to the same number
         try:
-            return int(str(raw).strip())
+            return kind(str(raw).strip())
         except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {raw!r}") from None
-    if key in _FLOAT_KEYS:
-        if isinstance(raw, (int, float)) and not isinstance(raw, bool):
-            return float(raw)
-        try:
-            return float(str(raw).strip())
-        except ValueError:
-            raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
-    if key == "q0":
+            expected = "an integer" if kind is int else "a number"
+            raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
+    if kind is tuple:
         if isinstance(raw, (tuple, list)):
             return tuple(float(v) for v in raw)
         try:
             return tuple(float(part) for part in str(raw).split(","))
         except ValueError:
-            raise ConfigError(f"q0: expected comma-separated numbers, got {raw!r}") from None
-    if key in _STR_KEYS:
-        value = str(raw).strip()
-        if key == "optimizer":
-            try:
-                return normalize_preset_name(value)
-            except KeyError as exc:
-                raise ConfigError(f"optimizer: {exc.args[0]}") from None
-        return value
-    raise ConfigError(f"unknown config key(s): {key}")
+            raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}") from None
+    value = str(raw).strip()
+    if key == "optimizer":
+        try:
+            return normalize_preset_name(value)
+        except KeyError as exc:
+            raise ConfigError(f"optimizer: {exc.args[0]}") from None
+    return value
 
 
 @dataclass
@@ -376,36 +357,22 @@ def write_csv(record: RunRecord, path) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def compare_suite(
-    suite: str,
-    out_dir,
-    *,
-    steps: int = 5000,
-    seed: int = 0,
-    metric_update_interval: int = 1,
-) -> dict[str, RunRecord]:
+def compare_suite(suite: str, out_dir, **settings) -> dict[str, RunRecord]:
     """Run every preset on one benchmark, writing a CSV per optimizer.
 
-    The full-matrix run on the multiply suite also tracks the top-10
-    covariance eigenvalues, matching the spectra-decay figure setup.
+    ``settings`` (``steps``, ``seed``, ``metric_update_interval``) apply to
+    every run; one not given keeps its :class:`ExperimentConfig` default. The
+    full-matrix run on the multiply suite also tracks the top-10 covariance
+    eigenvalues, matching the spectra-decay figure setup.
     """
-    from .optimizer import PRESET_NAMES
-
     if suite not in PROBLEM_NAMES:
         raise ConfigError(f"suite: expected one of {PROBLEM_NAMES}, got {suite!r}")
     out = make_output_dir(out_dir)
     records: dict[str, RunRecord] = {}
     for name in PRESET_NAMES:
         track = 10 if (suite == "multiply" and name == "cgd_full") else 0
-        cfg = ExperimentConfig(
-            problem=suite,
-            optimizer=name,
-            steps=steps,
-            seed=seed,
-            eig_track_k=track,
-            metric_update_interval=metric_update_interval,
-            output_dir=str(out),
-        )
+        cfg = ExperimentConfig(problem=suite, optimizer=name, eig_track_k=track,
+                               output_dir=str(out), **settings)
         record = run_experiment(cfg)
         write_csv(record, out / f"{name}.csv")
         records[name] = record
@@ -425,25 +392,20 @@ def gradcheck(problem_name: str, n_points: int = GRADCHECK_POINTS) -> float:
     batch per point, with loss and gradient evaluated on the same batch.
     """
     rng = np.random.default_rng(0)
-    worst = 0.0
     if problem_name == "rosenbrock":
-        problem = RosenbrockProblem()
-        for _ in range(n_points):
-            q = rng.uniform(-2.0, 2.0, size=2)
-            analytic = problem.gradient(q)
-            numeric = finite_diff_grad(problem, q, h=1e-6)
-            scale = max(float(np.max(np.abs(analytic))), 1e-300)
-            worst = max(worst, float(np.max(np.abs(numeric - analytic))) / scale)
+        problem, h = RosenbrockProblem(), 1e-6
+        points = [rng.uniform(-2.0, 2.0, size=2) for _ in range(n_points)]
     elif problem_name == "multiply":
-        problem = MultiplyProblem()
-        for point in range(n_points):
-            q = 0.1 * rng.standard_normal(problem.dim)
-            analytic = problem.gradient(q, batch_seed=point)
-            numeric = finite_diff_grad(problem, q, h=1e-5, batch_seed=point)
-            scale = max(float(np.max(np.abs(analytic))), 1e-300)
-            worst = max(worst, float(np.max(np.abs(numeric - analytic))) / scale)
+        problem, h = MultiplyProblem(), 1e-5
+        points = [0.1 * rng.standard_normal(problem.dim) for _ in range(n_points)]
     else:
         raise ConfigError(f"problem: expected one of {PROBLEM_NAMES}, got {problem_name!r}")
+    worst = 0.0
+    for point, q in enumerate(points):
+        analytic = problem.gradient(q, batch_seed=point)
+        numeric = finite_diff_grad(problem, q, h=h, batch_seed=point)
+        scale = max(float(np.max(np.abs(analytic))), 1e-300)
+        worst = max(worst, float(np.max(np.abs(numeric - analytic))) / scale)
     return worst
 
 

@@ -1,11 +1,11 @@
 """Inverse-metric construction from moment statistics.
 
 The metric is ``(eps*I + clamp0(S))^power`` where S is either the raw
-second moment or the covariance, restricted to its diagonal or kept as a
-full matrix. The optimizer applies the inverse, i.e. the ``-power``
-operator, to a force vector. ``power = 0`` yields the identity (plain
-gradient descent); ``power = 0.5`` on the diagonal second moment is the
-familiar root-mean-square normalization.
+second moment or the covariance, tracked by the moment state as its
+diagonal or as a full matrix. The optimizer applies the inverse, i.e. the
+``-power`` operator, to a force vector. ``power = 0`` yields the identity
+(plain gradient descent); ``power = 0.5`` on the diagonal second moment is
+the familiar root-mean-square normalization.
 """
 
 from __future__ import annotations
@@ -42,29 +42,8 @@ class MetricSpec:
         object.__setattr__(self, "statistic", MetricStatistic(self.statistic))
         if not np.isfinite(self.power):
             raise ValueError(f"power must be finite, got {self.power}")
-        if not self.eps > 0.0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
-
-
-def statistic_values(state: MomentState, spec: MetricSpec) -> np.ndarray:
-    """The statistic S feeding the metric, restricted to the requested shape.
-
-    Returns a vector for a diagonal metric (taking diag(S) when the state is
-    full-mode) and a symmetric matrix for a full metric. A full metric over a
-    diagonal-mode state raises :class:`ModeMismatch`: the off-diagonal
-    information was never tracked.
-    """
-    if spec.statistic is MetricStatistic.COVARIANCE:
-        stat = covariance(state)
-    else:
-        stat = state.m2
-    if spec.shape is MetricShape.FULL:
-        if state.mode is not MetricShape.FULL:
-            raise ModeMismatch("full metric requires a full-mode moment state")
-        return stat
-    if stat.ndim == 2:
-        return np.diag(stat).copy()
-    return stat
+        if not (np.isfinite(self.eps) and self.eps > 0.0):
+            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -75,13 +54,10 @@ class InverseMetricOperator:
     of S; ``weights`` holds the regularized spectrum raised to ``-power``.
     ``eigenvalues`` is the raw ascending spectrum of S that the build
     decomposed (before clamping), or None for a diagonal metric.
-    ``computed_at`` records the moment-state step the statistic was read at,
-    so a cached operator can be aged against a refresh interval.
     """
 
     weights: np.ndarray
     basis: np.ndarray | None
-    computed_at: int
     eigenvalues: np.ndarray | None = None
 
     def apply(self, force: np.ndarray) -> np.ndarray:
@@ -95,15 +71,19 @@ def build_inverse_metric(state: MomentState, spec: MetricSpec) -> InverseMetricO
 
     Eigenvalues (full) or entries (diagonal) are clamped at zero before eps
     is added, keeping the operator symmetric positive definite even for an
-    indefinite covariance.
+    indefinite covariance. The state must be stored in the metric's shape,
+    or :class:`ModeMismatch` is raised: a diagonal state never tracked the
+    off-diagonal entries, and a full state is not cut down to its diagonal.
     """
-    stat = statistic_values(state, spec)
+    if state.mode is not spec.shape:
+        raise ModeMismatch(f"a {spec.shape.value} metric needs a {spec.shape.value}-mode state")
+    stat = covariance(state) if spec.statistic is MetricStatistic.COVARIANCE else state.m2
     if spec.shape is MetricShape.FULL:
         eigenvalues, eigenvectors = linalg.eigendecompose(stat)
         weights = (np.maximum(eigenvalues, 0.0) + spec.eps) ** (-spec.power)
-        return InverseMetricOperator(weights, eigenvectors, state.step, eigenvalues)
+        return InverseMetricOperator(weights, eigenvectors, eigenvalues)
     weights = (np.maximum(stat, 0.0) + spec.eps) ** (-spec.power)
-    return InverseMetricOperator(weights, None, state.step)
+    return InverseMetricOperator(weights, None)
 
 
 __all__ = [
@@ -111,6 +91,5 @@ __all__ = [
     "MetricSpec",
     "ModeMismatch",
     "InverseMetricOperator",
-    "statistic_values",
     "build_inverse_metric",
 ]

@@ -156,7 +156,7 @@ def preset(
     tau1: float | None = None,
     tau2: float | None = None,
     power: float | None = None,
-    eps: float = 1e-8,
+    eps: float = MetricSpec.eps,
     statistic: MetricStatistic | str | None = None,
     metric_update_interval: int = 1,
 ) -> CgdConfig:

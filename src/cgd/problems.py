@@ -10,8 +10,6 @@ evaluates both on the same data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.typing import NDArray
 
@@ -82,48 +80,41 @@ INPUT_NEURONS = (0, 1)
 OUTPUT_NEURON = 2
 
 
-@dataclass
-class UnconstrainedNet:
-    """All-to-all recurrent net: one shared weight matrix applied DEPTH times.
+def unpack_params(q: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+    """Views of a 552-vector as the (N_NEURONS, N_NEURONS) weight matrix, held
+    row-major in the leading entries, and the N_NEURONS biases after it.
 
-    State starts at zero except the two input neurons; after DEPTH synchronous
-    tanh updates the output neuron's activation is the prediction. Every
-    neuron connects to every neuron (self-loops included), so there is no
-    layer structure to exploit — the same 23x23 matrix is reused each
-    iteration, and gradients accumulate across all of them.
+    The network is all-to-all recurrent: every neuron connects to every
+    neuron (self-loops included), so there is no layer structure to exploit,
+    and the one weight matrix is applied DEPTH times.
     """
-
-    weights: NDArray[np.float64]  # (N_NEURONS, N_NEURONS)
-    biases: NDArray[np.float64]  # (N_NEURONS,)
-
-    @classmethod
-    def from_vector(cls, q: NDArray[np.float64]) -> "UnconstrainedNet":
-        q = np.asarray(q, dtype=np.float64)
-        if q.shape != (N_PARAMS,):
-            raise ValueError(f"expected parameter vector of shape ({N_PARAMS},), got {q.shape}")
-        w = q[: N_NEURONS * N_NEURONS].reshape(N_NEURONS, N_NEURONS)
-        b = q[N_NEURONS * N_NEURONS :]
-        return cls(weights=w, biases=b)
-
-    def to_vector(self) -> NDArray[np.float64]:
-        return np.concatenate([self.weights.ravel(), self.biases])
+    q = np.asarray(q, dtype=np.float64)
+    if q.shape != (N_PARAMS,):
+        raise ValueError(f"expected parameter vector of shape ({N_PARAMS},), got {q.shape}")
+    return q[:-N_NEURONS].reshape(N_NEURONS, N_NEURONS), q[-N_NEURONS:]
 
 
-def net_forward(net: UnconstrainedNet, inputs: NDArray[np.float64]) -> NDArray[np.float64]:
-    """Predictions for a batch of (x, y) rows."""
-    inputs = np.atleast_2d(np.asarray(inputs, dtype=np.float64))
-    x = np.zeros((inputs.shape[0], N_NEURONS))
-    x[:, INPUT_NEURONS[0]] = inputs[:, 0]
-    x[:, INPUT_NEURONS[1]] = inputs[:, 1]
+def net_states(
+    weights: NDArray[np.float64], biases: NDArray[np.float64], inputs: NDArray[np.float64]
+) -> list[NDArray[np.float64]]:
+    """Neuron states, (n, N_NEURONS) each, for n input rows whose first two
+    columns are (x, y); further columns are ignored.
+
+    The first state is zero except the two input neurons; each of the DEPTH
+    activations after it is one synchronous tanh update of the one before.
+    The output neuron of the last is the prediction.
+    """
+    states = [np.zeros((inputs.shape[0], N_NEURONS))]
+    states[0][:, list(INPUT_NEURONS)] = inputs[:, :2]
     for _ in range(DEPTH):
-        x = np.tanh(x @ net.weights.T + net.biases)
-    return x[:, OUTPUT_NEURON]
+        states.append(np.tanh(states[-1] @ weights.T + biases))
+    return states
 
 
 def net_loss(q: NDArray[np.float64], batch: NDArray[np.float64]) -> float:
     """Mean squared error of the network on a (n, 3) batch of (x, y, target)."""
-    net = UnconstrainedNet.from_vector(q)
-    pred = net_forward(net, batch[:, :2])
+    weights, biases = unpack_params(q)
+    pred = net_states(weights, biases, batch)[-1][:, OUTPUT_NEURON]
     return float(np.mean((pred - batch[:, 2]) ** 2))
 
 
@@ -136,22 +127,14 @@ def net_loss_and_grad(
     backward pass adds each iteration's contribution into the same gradient
     buffers rather than keeping per-layer copies.
     """
-    net = UnconstrainedNet.from_vector(q)
-    batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+    weights, biases = unpack_params(q)
     n = batch.shape[0]
-
-    states = [np.zeros((n, N_NEURONS))]
-    states[0][:, INPUT_NEURONS[0]] = batch[:, 0]
-    states[0][:, INPUT_NEURONS[1]] = batch[:, 1]
-    for _ in range(DEPTH):
-        states.append(np.tanh(states[-1] @ net.weights.T + net.biases))
-
-    pred = states[-1][:, OUTPUT_NEURON]
-    residual = pred - batch[:, 2]
+    states = net_states(weights, biases, batch)
+    residual = states[-1][:, OUTPUT_NEURON] - batch[:, 2]
     loss = float(np.mean(residual**2))
 
-    gw = np.zeros_like(net.weights)
-    gb = np.zeros_like(net.biases)
+    gw = np.zeros_like(weights)
+    gb = np.zeros_like(biases)
     sensitivity = np.zeros((n, N_NEURONS))
     sensitivity[:, OUTPUT_NEURON] = 2.0 * residual / n
     for k in range(DEPTH, 0, -1):
@@ -159,7 +142,7 @@ def net_loss_and_grad(
         u = sensitivity * (1.0 - states[k] ** 2)
         gw += u.T @ states[k - 1]
         gb += u.sum(axis=0)
-        sensitivity = u @ net.weights
+        sensitivity = u @ weights
     return loss, np.concatenate([gw.ravel(), gb])
 
 
@@ -194,10 +177,10 @@ class MultiplyProblem:
         return sample_batch(0 if batch_seed is None else int(batch_seed), self.batch_size)
 
     def loss(self, q, batch_seed=None) -> float:
-        return net_loss(np.asarray(q, dtype=np.float64), self._batch(batch_seed))
+        return net_loss(q, self._batch(batch_seed))
 
     def gradient(self, q, batch_seed=None) -> NDArray[np.float64]:
-        _, grad = net_loss_and_grad(np.asarray(q, dtype=np.float64), self._batch(batch_seed))
+        _, grad = net_loss_and_grad(q, self._batch(batch_seed))
         return grad
 
 
@@ -221,8 +204,8 @@ __all__ = [
     "rosenbrock_loss",
     "rosenbrock_grad",
     "RosenbrockProblem",
-    "UnconstrainedNet",
-    "net_forward",
+    "unpack_params",
+    "net_states",
     "net_loss",
     "net_loss_and_grad",
     "sample_batch",

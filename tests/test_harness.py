@@ -2,8 +2,9 @@ import os
 import subprocess
 import sys
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -55,6 +56,10 @@ def test_field_validation_messages():
         ExperimentConfig(problem="multiply", seed=-1)
     with pytest.raises(ConfigError, match="gamma"):
         ExperimentConfig(gamma=float("inf"))
+    with pytest.raises(ConfigError, match="eps"):
+        ExperimentConfig(optimizer="cgd_full", eps=float("inf"))
+    with pytest.raises(ConfigError, match="metric_update_interval"):
+        ExperimentConfig(metric_update_interval=0)
     with pytest.raises(ConfigError, match="batch_size"):
         ExperimentConfig(problem="rosenbrock", batch_size=10)
     with pytest.raises(ConfigError, match="dim"):
@@ -396,6 +401,7 @@ def test_cli_config_errors(tmp_path):
     assert cli.main(["run", "--config", ok, "--steps"]) == 2
     assert cli.main(["run", "--config", ok, "--steps", "0"]) == 2
     assert cli.main(["run", "--config", ok, "--gamma", "inf"]) == 2
+    assert cli.main(["run", "--config", ok, "--eps", "inf"]) == 2
     assert cli.main(["compare", "--suite", "rosenbrock", "--out", str(tmp_path / "cmp"),
                      "--steps", "2", "--seed", "-1"]) == 2
     # an output directory beneath a regular file cannot be created
@@ -437,6 +443,36 @@ def test_cli_compare(tmp_path, capsys):
     assert "cgd_full" in capsys.readouterr().out
 
 
+def test_cli_compare_without_flags_runs_the_config_defaults(tmp_path, monkeypatch):
+    # every run is cut to 2 steps after its config is recorded as compare built it
+    built = []
+
+    def short_run(cfg):
+        built.append(cfg)
+        return run_experiment(replace(cfg, steps=2))
+
+    monkeypatch.setattr(harness, "run_experiment", short_run)
+    assert cli.main(["compare", "--suite", "rosenbrock", "--out", str(tmp_path)]) == 0
+    defaults = ExperimentConfig()
+    assert len(built) == 6
+    for cfg in built:
+        assert (cfg.steps, cfg.seed, cfg.metric_update_interval) == (
+            defaults.steps, defaults.seed, defaults.metric_update_interval)
+
+
+def test_cli_override_values_keep_their_dashes(tmp_path):
+    # only the key's dashes become underscores; "my-runs", "1e-3" and "-1"
+    # reach the config as typed
+    cfg = write_cfg(tmp_path, "steps = 2\n")
+    out = tmp_path / "my-runs"
+    assert cli.main(["run", "--config", cfg, f"--output-dir={out}", "--gamma=1e-3",
+                     "--q0=-1,2"]) == 0
+    assert (out / "rosenbrock_cgd_diagonal_seed0.csv").exists()
+    assert not (tmp_path / "my_runs").exists()
+    assert cli._parse_override_pairs(["--output-dir=a-b", "--gamma=1e-3", "--q0=-1,2"]) == {
+        "output_dir": "a-b", "gamma": "1e-3", "q0": "-1,2"}
+
+
 def test_cli_gradcheck(capsys):
     assert cli.main(["gradcheck", "--problem", "rosenbrock"]) == 0
     out = capsys.readouterr().out
@@ -456,8 +492,12 @@ _JUNK = st.text(st.characters(blacklist_categories=("Cs", "Cc"), blacklist_chara
 _FLOAT = (st.floats(0.0, 1.0) | st.floats()).map(repr)
 
 
+_INT_FIELDS = {name for name, hint in get_type_hints(ExperimentConfig).items()
+               if int in (hint, *get_args(hint))}
+
+
 def _value(key):
-    if key in harness._INT_KEYS:
+    if key in _INT_FIELDS:
         # small magnitudes keep dimensions and batches small
         typed = st.integers(-3, 6).map(str)
     elif key == "q0":

@@ -117,13 +117,13 @@ def test_clamp_happens_before_shift():
 
 
 def test_diagonal_path_matches_full_path():
-    # a diagonal spec reads diag(m2) of a full-mode state and skips the
-    # eigendecomposition; on a diagonal m2 it must agree with the full spec
+    # a diagonal spec on a diagonal-mode state skips the eigendecomposition;
+    # it must agree with the full spec on a full-mode state holding diag(m2)
     rng = np.random.default_rng(9)
-    m2 = np.diag(rng.uniform(-1.0, 4.0, size=6))
+    m2 = rng.uniform(-1.0, 4.0, size=6)
     f = rng.standard_normal(6)
     fast = inverse_metric(m2, 0.41, 1e-8, shape="diagonal")
-    full = inverse_metric(m2, 0.41, 1e-8)
+    full = inverse_metric(np.diag(m2), 0.41, 1e-8)
     assert fast.basis is None and full.basis is not None
     assert np.allclose(fast.apply(f), full.apply(f), atol=1e-12)
 
@@ -139,3 +139,7 @@ def test_eps_must_be_positive():
         MetricSpec("full", "second_moment", 0.5, eps=0.0)
     with pytest.raises(ValueError):
         MetricSpec("diagonal", "second_moment", 0.5, eps=-1.0)
+    # an infinite eps would zero every weight and freeze the parameters
+    for eps in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            MetricSpec("full", "second_moment", 0.5, eps=eps)

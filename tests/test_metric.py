@@ -8,9 +8,8 @@ from cgd.metric import (
     MetricStatistic,
     ModeMismatch,
     build_inverse_metric,
-    statistic_values,
 )
-from cgd.moments import MetricShape, MomentState, Timescales, update_moments
+from cgd.moments import MetricShape, MomentState, Timescales, covariance, update_moments
 
 
 def full_state(rng, d=4, steps=12, ts=Timescales(3.0, 8.0)):
@@ -34,26 +33,30 @@ def test_spec_accepts_strings_and_validates():
 
 
 def test_statistic_values_diagonal_state():
+    # tau = 0 makes m1 = g and m2 = g*g exactly, so the covariance is 0;
+    # with eps = 1 and a = 0.5 the weights are (S + 1)^-0.5
     g = np.array([2.0, -1.0])
     st = update_moments(MomentState.initial(2, MetricShape.DIAGONAL), g, Timescales(0.0, 0.0))
-    raw = statistic_values(st, MetricSpec("diagonal", "second_moment", 0.5))
-    assert np.array_equal(raw, g * g)
-    centered = statistic_values(st, MetricSpec("diagonal", "covariance", 0.5))
-    assert np.allclose(centered, np.zeros(2), atol=1e-15)
+    raw = build_inverse_metric(st, MetricSpec("diagonal", "second_moment", 0.5, eps=1.0))
+    assert np.array_equal(raw.weights, [5.0 ** -0.5, 2.0 ** -0.5])
+    centered = build_inverse_metric(st, MetricSpec("diagonal", "covariance", 0.5, eps=1.0))
+    assert np.array_equal(centered.weights, [1.0, 1.0])
+    assert raw.basis is None and centered.basis is None
 
 
-def test_statistic_values_full_state_diag_restriction():
-    rng = np.random.default_rng(0)
-    st = full_state(rng)
-    stat = statistic_values(st, MetricSpec("diagonal", "second_moment", 0.5))
-    assert stat.ndim == 1
-    assert np.array_equal(stat, np.diag(st.m2))
+def test_diagonal_metric_needs_diagonal_state():
+    # a full state is not cut down to its diagonal
+    st = full_state(np.random.default_rng(0))
+    for statistic in MetricStatistic:
+        with pytest.raises(ModeMismatch, match="diagonal"):
+            build_inverse_metric(st, MetricSpec("diagonal", statistic, 0.5))
 
 
 def test_full_metric_needs_full_state():
     st = MomentState.initial(3, MetricShape.DIAGONAL)
-    with pytest.raises(ModeMismatch):
-        statistic_values(st, MetricSpec("full", "second_moment", 0.5))
+    for statistic in MetricStatistic:
+        with pytest.raises(ModeMismatch, match="full"):
+            build_inverse_metric(st, MetricSpec("full", statistic, 0.5))
 
 
 def test_diagonal_clamp_then_shift():
@@ -71,7 +74,6 @@ def test_full_metric_known_two_by_two():
     st = MomentState(m1=np.ones(2), m2=m2, step=3)
     spec = MetricSpec("full", "covariance", 0.5, eps=1.0)
     op = build_inverse_metric(st, spec)
-    assert op.computed_at == 3
     minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     assert np.allclose(op.apply(minus), minus, atol=1e-12)
@@ -109,13 +111,6 @@ def test_power_zero_diagonal_identity_bitwise():
     assert np.array_equal(build_inverse_metric(st, spec).apply(f), f)
 
 
-def test_operator_caches_step_stamp():
-    rng = np.random.default_rng(6)
-    st = full_state(rng, steps=7)
-    op = build_inverse_metric(st, MetricSpec("full", "second_moment", 0.5))
-    assert op.computed_at == st.step == 7
-
-
 def test_operator_keeps_the_raw_spectrum_it_decomposed():
     rng = np.random.default_rng(7)
     # a first moment larger than the second moment's scale makes the
@@ -123,7 +118,8 @@ def test_operator_keeps_the_raw_spectrum_it_decomposed():
     st = MomentState(m1=3.0 * np.ones(4), m2=full_state(rng).m2, step=12)
     spec = MetricSpec("full", "covariance", 0.4)
     op = build_inverse_metric(st, spec)
-    raw = eigendecompose(statistic_values(st, spec)).eigenvalues
+    raw = eigendecompose(covariance(st)).eigenvalues
     assert np.min(raw) < 0.0  # indefinite: the kept spectrum is not clamped
     assert np.array_equal(op.eigenvalues, raw)
-    assert build_inverse_metric(st, MetricSpec("diagonal", "covariance", 0.4)).eigenvalues is None
+    diag = MomentState(m1=st.m1, m2=np.diag(st.m2).copy(), step=12)
+    assert build_inverse_metric(diag, MetricSpec("diagonal", "covariance", 0.4)).eigenvalues is None

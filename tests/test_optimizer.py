@@ -135,16 +135,22 @@ def test_step_counts_advance():
 def test_metric_update_interval_reuses_operator():
     cfg = preset("cgd_full", context="rosenbrock", metric_update_interval=3)
     st = initial_state(Q0, cfg)
-    ops = []
+    ops, moments = [], []
     for _ in range(7):
         st = step(st, rosenbrock_gradient(st.params), cfg)
         ops.append(st.precond)
+        moments.append(st.moments)
     # refreshed at moment steps 1, 4, 7; reused in between
     assert ops[0] is ops[1] is ops[2]
     assert ops[3] is ops[4] is ops[5]
     assert ops[3] is not ops[0]
     assert ops[6] is not ops[3]
-    assert [op.computed_at for op in ops] == [1, 1, 1, 4, 4, 4, 7]
+    # each operator was built from the moments of the step that refreshed it
+    for t in (0, 3, 6):
+        fresh = build_inverse_metric(moments[t], cfg.metric)
+        assert np.array_equal(ops[t].weights, fresh.weights)
+        assert np.array_equal(ops[t].basis, fresh.basis)
+    assert not np.array_equal(ops[3].weights, build_inverse_metric(moments[4], cfg.metric).weights)
 
 
 def test_state_carries_the_spectrum_only_from_a_build():

@@ -8,16 +8,22 @@ from cgd.problems import (
     DimensionTooSmall,
     EmptyBatch,
     MultiplyProblem,
+    OUTPUT_NEURON,
     RosenbrockProblem,
-    UnconstrainedNet,
     finite_diff_grad,
-    net_forward,
     net_loss,
     net_loss_and_grad,
+    net_states,
     rosenbrock_grad,
     rosenbrock_loss,
     sample_batch,
+    unpack_params,
 )
+
+
+def predict(q, inputs):
+    """The output neuron's final activation for each input row."""
+    return net_states(*unpack_params(q), inputs)[-1][:, OUTPUT_NEURON]
 
 
 def test_rosenbrock_known_values():
@@ -53,15 +59,16 @@ def test_rosenbrock_initial_params():
 def test_parameter_vector_roundtrip():
     rng = np.random.default_rng(0)
     q = rng.standard_normal(N_PARAMS)
-    net = UnconstrainedNet.from_vector(q)
-    assert net.weights.shape == (N_NEURONS, N_NEURONS)
-    assert net.biases.shape == (N_NEURONS,)
-    assert np.array_equal(net.to_vector(), q)
-    # weights occupy the leading block, row-major
-    assert net.weights[1, 2] == q[1 * N_NEURONS + 2]
-    assert net.biases[4] == q[N_NEURONS * N_NEURONS + 4]
+    weights, biases = unpack_params(q)
+    assert weights.shape == (N_NEURONS, N_NEURONS)
+    assert biases.shape == (N_NEURONS,)
+    assert np.array_equal(np.concatenate([weights.ravel(), biases]), q)
+    # weights occupy the leading block, row-major; both are views of q
+    assert weights[1, 2] == q[1 * N_NEURONS + 2]
+    assert biases[4] == q[N_NEURONS * N_NEURONS + 4]
+    assert np.shares_memory(weights, q) and np.shares_memory(biases, q)
     with pytest.raises(ValueError):
-        UnconstrainedNet.from_vector(np.zeros(10))
+        unpack_params(np.zeros(10))
 
 
 def test_constants():
@@ -71,16 +78,17 @@ def test_constants():
 
 
 def test_zero_network_predicts_zero():
-    pred = net_forward(UnconstrainedNet.from_vector(np.zeros(N_PARAMS)),
-                       np.array([[0.3, -0.8]]))
+    pred = predict(np.zeros(N_PARAMS), np.array([[0.3, -0.8]]))
     assert pred == 0.0
 
 
 def test_forward_output_bounded_by_activation():
     rng = np.random.default_rng(1)
-    net = UnconstrainedNet.from_vector(rng.standard_normal(N_PARAMS) * 3.0)
-    preds = net_forward(net, rng.uniform(-1, 1, size=(50, 2)))
-    assert np.all(np.abs(preds) < 1.0)
+    states = net_states(*unpack_params(rng.standard_normal(N_PARAMS) * 3.0),
+                        rng.uniform(-1, 1, size=(50, 2)))
+    assert len(states) == DEPTH + 1
+    assert all(np.all(np.abs(x) <= 1.0) for x in states[1:])
+    assert np.all(np.abs(states[-1][:, OUTPUT_NEURON]) < 1.0)
 
 
 def test_bias_only_network_hand_value():
@@ -88,7 +96,7 @@ def test_bias_only_network_hand_value():
     # tanh(b) there, independent of inputs
     q = np.zeros(N_PARAMS)
     q[N_NEURONS * N_NEURONS + 2] = 0.7
-    pred = net_forward(UnconstrainedNet.from_vector(q), np.array([[0.1, 0.9]]))
+    pred = predict(q, np.array([[0.1, 0.9]]))
     assert np.allclose(pred, np.tanh(0.7), atol=1e-15)
 
 
@@ -96,8 +104,7 @@ def test_net_loss_matches_direct_mse():
     rng = np.random.default_rng(2)
     q = 0.1 * rng.standard_normal(N_PARAMS)
     batch = sample_batch(5, 16)
-    net = UnconstrainedNet.from_vector(q)
-    direct = float(np.mean((net_forward(net, batch[:, :2]) - batch[:, 2]) ** 2))
+    direct = float(np.mean((predict(q, batch[:, :2]) - batch[:, 2]) ** 2))
     assert net_loss(q, batch) == direct
     loss, _ = net_loss_and_grad(q, batch)
     assert np.isclose(loss, direct, atol=1e-15)
