@@ -13,6 +13,7 @@ Config files are flat ``key = value`` text; unknown keys are hard errors.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -25,7 +26,8 @@ from .metric import MetricStatistic, ModeMismatch
 from .moments import MetricShape, MomentState, covariance, ema_update
 from .optimizer import (PRESET_NAMES, CgdConfig, initial_state, normalize_preset_name,
                         preset, step)
-from .problems import MultiplyProblem, RosenbrockProblem, finite_diff_grad
+from .problems import (DimensionTooSmall, EmptyBatch, MultiplyProblem, RosenbrockProblem,
+                       finite_diff_grad)
 
 TAU_PLOT = 20.0
 
@@ -89,38 +91,42 @@ class ExperimentConfig:
         if self.problem == "rosenbrock":
             if self.batch_size is not None:
                 raise ConfigError("batch_size: only valid for the multiply problem")
-            if self.dim is not None and self.dim < 2:
-                raise ConfigError(f"dim: rosenbrock needs dim >= 2, got {self.dim}")
-            if self.q0 is not None and len(self.q0) != self.resolved_dim():
-                raise ConfigError(
-                    f"q0: expected {self.resolved_dim()} values, got {len(self.q0)}"
-                )
         else:
             if self.dim is not None:
                 raise ConfigError("dim: only valid for the rosenbrock problem")
             if self.q0 is not None:
                 raise ConfigError("q0: only valid for the rosenbrock problem")
-            if self.batch_size is not None and self.batch_size < 1:
-                raise ConfigError(f"batch_size: must be >= 1, got {self.batch_size}")
-        if self.eig_track_k > self.resolved_dim():
-            raise ConfigError(
-                f"eig_track_k: exceeds problem dimension {self.resolved_dim()}"
-            )
-        # Resolve the preset eagerly so bad names and incompatible eigenvalue
-        # tracking fail at config time, not mid-run.
+        dim = self.resolved_dim()
+        if self.q0 is not None and len(self.q0) != dim:
+            raise ConfigError(f"q0: expected {dim} values, got {len(self.q0)}")
+        if self.eig_track_k > dim:
+            raise ConfigError(f"eig_track_k: exceeds problem dimension {dim}")
+        try:
+            # frozen dataclass: the canonical name replaces the one given
+            object.__setattr__(self, "optimizer", normalize_preset_name(self.optimizer))
+        except KeyError as exc:
+            raise ConfigError(f"optimizer: {exc.args[0]}") from None
+        # Resolve the preset eagerly so bad hyperparameters and incompatible
+        # eigenvalue tracking fail at config time, not mid-run.
         opt = self.optimizer_config()
         if self.eig_track_k > 0 and opt.metric.shape is not MetricShape.FULL:
             raise ConfigError("eig_track_k: requires a full-matrix metric (cgd_full)")
 
     def resolved_dim(self) -> int:
-        if self.problem == "rosenbrock":
-            return 2 if self.dim is None else self.dim
-        return MultiplyProblem().dim
+        return self.build_problem().dim
 
     def build_problem(self):
-        if self.problem == "rosenbrock":
-            return RosenbrockProblem(dim=self.resolved_dim())
-        return MultiplyProblem(batch_size=100 if self.batch_size is None else self.batch_size)
+        """The configured problem; an unset dim or batch_size keeps the problem's default."""
+        try:
+            if self.problem == "rosenbrock":
+                return RosenbrockProblem() if self.dim is None else RosenbrockProblem(self.dim)
+            if self.batch_size is None:
+                return MultiplyProblem()
+            return MultiplyProblem(self.batch_size)
+        except DimensionTooSmall as exc:
+            raise ConfigError(f"dim: {exc}") from None
+        except EmptyBatch as exc:
+            raise ConfigError(f"batch_size: {exc}") from None
 
     def optimizer_config(self) -> CgdConfig:
         keys = ("gamma", "tau1", "tau2", "power", "eps", "statistic")
@@ -197,13 +203,7 @@ def _coerce(key: str, raw):
             return tuple(float(part) for part in str(raw).split(","))
         except ValueError:
             raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}") from None
-    value = str(raw).strip()
-    if key == "optimizer":
-        try:
-            return normalize_preset_name(value)
-        except KeyError as exc:
-            raise ConfigError(f"optimizer: {exc.args[0]}") from None
-    return value
+    return str(raw).strip()
 
 
 @dataclass
@@ -258,8 +258,53 @@ def batch_seed_sequence(seed: int, steps: int) -> NDArray[np.int64]:
     return rng.integers(2**63, size=steps)
 
 
+# glibc mallopt parameters (malloc.h) and the fixed thresholds run_experiment sets
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_TRIM_THRESHOLD_BYTES = 256 * 2**20
+_MMAP_THRESHOLD_BYTES = 32 * 2**20
+
+_heap_kept = False
+
+
+def _keep_heap_resident() -> None:
+    """Stop glibc from handing the heap top back to the kernel after each step.
+
+    A full-metric step at d = 552 frees its transient d x d arrays (outer
+    product, covariance, eigh workspace, basis) together. They exceed glibc's
+    dynamic trim threshold, so the heap top is trimmed and the next step
+    faults about 11 MB back in. A fixed trim threshold keeps those pages, but
+    it also stops glibc raising the mmap threshold as it goes, which would
+    leave every 2.4 MB d x d array to its own mmap and munmap; so the mmap
+    threshold is fixed above them too. The setting is process-wide and made
+    once per process. Off glibc, or if the C library cannot be reached, this
+    does nothing.
+    """
+    global _heap_kept
+    if _heap_kept:
+        return
+    _heap_kept = True
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+        import ctypes  # already loaded by numpy; ctypes.util would pull in subprocess
+
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    except (ImportError, ValueError, OSError, AttributeError):
+        pass
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunRecord:
-    """Execute one seeded run and return its complete trajectory."""
+    """Execute one seeded run and return its complete trajectory.
+
+    The first call in a process fixes glibc's malloc trim and mmap thresholds
+    (see the README's Performance note).
+    """
+    _keep_heap_resident()
     problem = cfg.build_problem()
     opt_cfg = cfg.optimizer_config()
 

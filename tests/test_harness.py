@@ -27,7 +27,7 @@ from cgd.harness import (
 )
 from cgd.metric import ModeMismatch
 from cgd.moments import MetricShape, MomentState, Timescales, covariance, update_moments
-from cgd.problems import rosenbrock_grad, rosenbrock_loss
+from cgd.problems import MultiplyProblem, RosenbrockProblem, rosenbrock_grad, rosenbrock_loss
 
 
 # --- configuration ---------------------------------------------------------
@@ -37,7 +37,11 @@ def test_defaults_are_valid():
     cfg = ExperimentConfig()
     assert cfg.problem == "rosenbrock"
     assert cfg.steps == 5000
-    assert cfg.resolved_dim() == 2
+    assert cfg.resolved_dim() == 2 == RosenbrockProblem().dim
+    assert ExperimentConfig(dim=7).build_problem().dim == 7
+    multiply = ExperimentConfig(problem="multiply")
+    assert multiply.resolved_dim() == MultiplyProblem().dim
+    assert multiply.build_problem().batch_size == MultiplyProblem().batch_size
 
 
 def test_unknown_keys_are_hard_errors():
@@ -64,6 +68,10 @@ def test_field_validation_messages():
         ExperimentConfig(problem="rosenbrock", batch_size=10)
     with pytest.raises(ConfigError, match="dim"):
         ExperimentConfig(problem="multiply", dim=5)
+    with pytest.raises(ConfigError, match="^dim: "):
+        ExperimentConfig(dim=1)
+    with pytest.raises(ConfigError, match="^batch_size: "):
+        ExperimentConfig(problem="multiply", batch_size=0)
     with pytest.raises(ConfigError, match="q0"):
         ExperimentConfig(problem="multiply", q0=(1.0, 1.0))
     with pytest.raises(ConfigError, match="q0"):
@@ -113,6 +121,14 @@ def test_config_file_errors(tmp_path):
     badpreset.write_text("optimizer = adamw\n")
     with pytest.raises(ConfigError, match="optimizer"):
         ExperimentConfig.from_file(str(badpreset))
+
+
+def test_optimizer_name_is_canonical_from_every_entry_point():
+    assert ExperimentConfig(optimizer="CGD-Diag").optimizer == "cgd_diagonal"
+    assert ExperimentConfig.from_mapping({"optimizer": "CGD-Diag"}).optimizer == "cgd_diagonal"
+    assert replace(ExperimentConfig(), optimizer=" Cgd Full").optimizer == "cgd_full"
+    with pytest.raises(ConfigError, match="optimizer: unknown preset"):
+        ExperimentConfig(optimizer="CGD-Diagonals")
 
 
 def test_overrides_are_typed():
@@ -195,6 +211,68 @@ def test_batch_seed_sequence_properties():
     assert not np.array_equal(a, batch_seed_sequence(1, 100))
     # per-step seeds must not collide with the parameter-init stream
     assert not np.array_equal(a[:2], np.random.default_rng(0).integers(2**63, size=2))
+
+
+# --- allocator setting -------------------------------------------------------
+
+
+def _on_glibc() -> bool:
+    try:
+        return os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc")
+    except (ValueError, OSError, AttributeError):
+        return False
+
+
+@pytest.mark.skipif(not _on_glibc(), reason="the heap setting acts on glibc malloc only")
+def test_full_metric_steps_do_not_refault_the_heap():
+    # Minor page faults over a second 20-step multiply cgd_full run in a fresh
+    # process. When glibc trims the heap top after every step, each step
+    # faults the freed d x d arrays back in: about 2970 faults per step.
+    script = (
+        "import resource\n"
+        "from cgd.harness import ExperimentConfig, run_experiment\n"
+        "cfg = ExperimentConfig(problem='multiply', optimizer='cgd_full', steps=20)\n"
+        "run_experiment(cfg)\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+        "run_experiment(cfg)\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
+    )
+    src = str(Path(cgd.__file__).resolve().parent.parent)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("GLIBC_TUNABLES", None)
+    out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                         capture_output=True, text=True)
+    faults_per_step = int(out.stdout) / 20
+    assert faults_per_step < 200, faults_per_step
+
+
+def test_heap_setting_is_made_once(monkeypatch):
+    calls = []
+    real_confstr = os.confstr
+    monkeypatch.setattr(os, "confstr", lambda name: calls.append(name) or real_confstr(name))
+    monkeypatch.setattr(harness, "_heap_kept", False)
+    harness._keep_heap_resident()
+    harness._keep_heap_resident()
+    assert calls == ["CS_GNU_LIBC_VERSION"]
+
+
+@pytest.mark.parametrize("error", [ValueError, OSError, AttributeError])
+def test_heap_setting_is_a_no_op_off_glibc(monkeypatch, error):
+    import ctypes
+
+    def no_glibc(name):
+        raise error(name)
+
+    def no_cdll(*args, **kwargs):
+        raise AssertionError("the C library must not be opened")
+
+    monkeypatch.setattr(os, "confstr", no_glibc)
+    monkeypatch.setattr(ctypes, "CDLL", no_cdll)
+    monkeypatch.setattr(harness, "_heap_kept", False)
+    record = run_experiment(ExperimentConfig(optimizer="cgd_full", steps=3))
+    assert harness._heap_kept
+    assert record.losses.shape == (3,)
 
 
 # --- eigenvalue tracking ----------------------------------------------------
