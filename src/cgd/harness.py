@@ -434,7 +434,8 @@ def gradcheck(problem_name: str, n_points: int = GRADCHECK_POINTS) -> float:
     """Max relative error between analytic gradients and central differences.
 
     Points are drawn from a fixed seed; the network problem gets a fresh
-    batch per point, with loss and gradient evaluated on the same batch.
+    batch per point, with loss and gradient evaluated on the same batch, which
+    the problem draws once per point (not once per loss probe).
     """
     rng = np.random.default_rng(0)
     if problem_name == "rosenbrock":

@@ -5,7 +5,7 @@ Both problems expose the same small surface the run harness consumes:
 ``gradient(q, batch_seed=None)``. The Rosenbrock objective is deterministic
 and ignores the batch seed; the network objective draws a fresh training
 batch from the seed, so passing the same seed to ``loss`` and ``gradient``
-evaluates both on the same data.
+evaluates both on the same data, which is drawn once.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ DEPTH = 5
 N_PARAMS = N_NEURONS * N_NEURONS + N_NEURONS  # 552
 INPUT_NEURONS = (0, 1)
 OUTPUT_NEURON = 2
+_INPUT_SLICE = slice(INPUT_NEURONS[0], INPUT_NEURONS[-1] + 1)  # adjacent neurons
 
 
 def unpack_params(q: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -104,10 +105,17 @@ def net_states(
     activations after it is one synchronous tanh update of the one before.
     The output neuron of the last is the prediction.
     """
+    # Several rows go through GEMM, which runs faster on a contiguous copy of
+    # the transpose (one small copy per call) than on the strided view, and
+    # gives the same bytes (tools/csv_digest.py). One row goes through GEMV,
+    # whose summation order follows the operand's layout, so it keeps the view.
+    weights_t = weights.T if inputs.shape[0] == 1 else np.ascontiguousarray(weights.T)
     states = [np.zeros((inputs.shape[0], N_NEURONS))]
-    states[0][:, list(INPUT_NEURONS)] = inputs[:, :2]
+    states[0][:, _INPUT_SLICE] = inputs[:, :2]
     for _ in range(DEPTH):
-        states.append(np.tanh(states[-1] @ weights.T + biases))
+        z = states[-1] @ weights_t
+        z += biases
+        states.append(np.tanh(z, out=z))
     return states
 
 
@@ -125,7 +133,8 @@ def net_loss_and_grad(
 
     The weight matrix is shared across all DEPTH applications, so the
     backward pass adds each iteration's contribution into the same gradient
-    buffers rather than keeping per-layer copies.
+    buffers (views of the returned vector) rather than keeping per-layer
+    copies.
     """
     weights, biases = unpack_params(q)
     n = batch.shape[0]
@@ -133,17 +142,20 @@ def net_loss_and_grad(
     residual = states[-1][:, OUTPUT_NEURON] - batch[:, 2]
     loss = float(np.mean(residual**2))
 
-    gw = np.zeros_like(weights)
-    gb = np.zeros_like(biases)
+    grad = np.zeros(N_PARAMS)
+    gw, gb = unpack_params(grad)
     sensitivity = np.zeros((n, N_NEURONS))
     sensitivity[:, OUTPUT_NEURON] = 2.0 * residual / n
     for k in range(DEPTH, 0, -1):
         # d tanh(z)/dz expressed through the activation: 1 - x^2
-        u = sensitivity * (1.0 - states[k] ** 2)
+        u = np.square(states[k])
+        np.subtract(1.0, u, out=u)
+        u *= sensitivity
         gw += u.T @ states[k - 1]
         gb += u.sum(axis=0)
-        sensitivity = u @ weights
-    return loss, np.concatenate([gw.ravel(), gb])
+        if k > 1:  # the input state has no parameters upstream of it
+            sensitivity = u @ weights
+    return loss, grad
 
 
 def sample_batch(seed: int, size: int) -> NDArray[np.float64]:
@@ -151,8 +163,10 @@ def sample_batch(seed: int, size: int) -> NDArray[np.float64]:
     if size < 1:
         raise EmptyBatch(f"batch size must be >= 1, got {size}")
     rng = np.random.default_rng(seed)
-    xy = rng.uniform(-1.0, 1.0, size=(size, 2))
-    return np.column_stack([xy, xy[:, 0] * xy[:, 1]])
+    batch = np.empty((size, 3))
+    batch[:, :2] = rng.uniform(-1.0, 1.0, size=(size, 2))
+    np.multiply(batch[:, 0], batch[:, 1], out=batch[:, 2])
+    return batch
 
 
 class MultiplyProblem:
@@ -160,7 +174,9 @@ class MultiplyProblem:
 
     Stochastic: each step's batch is drawn from the supplied batch seed, so
     the loss surface changes step to step. A None seed means seed 0, keeping
-    direct loss(q) probes deterministic.
+    direct loss(q) probes deterministic. The last batch drawn is kept, read
+    only, so ``gradient`` and ``loss`` calls with the same batch seed (a run
+    step, or every probe of ``finite_diff_grad``) share one draw.
     """
 
     def __init__(self, batch_size: int = 100):
@@ -168,13 +184,20 @@ class MultiplyProblem:
             raise EmptyBatch(f"batch size must be >= 1, got {batch_size}")
         self.dim = N_PARAMS
         self.batch_size = batch_size
+        self._batch_key: tuple[int, int] | None = None
+        self._batch_rows: NDArray[np.float64] | None = None
 
     def initial_params(self, seed: int = 0) -> NDArray[np.float64]:
         rng = np.random.default_rng(seed)
         return rng.uniform(-0.5, 0.5, size=N_PARAMS) / np.sqrt(N_NEURONS)
 
     def _batch(self, batch_seed) -> NDArray[np.float64]:
-        return sample_batch(0 if batch_seed is None else int(batch_seed), self.batch_size)
+        key = (0 if batch_seed is None else int(batch_seed), self.batch_size)
+        if key != self._batch_key:
+            rows = sample_batch(*key)
+            rows.flags.writeable = False
+            self._batch_key, self._batch_rows = key, rows
+        return self._batch_rows
 
     def loss(self, q, batch_seed=None) -> float:
         return net_loss(q, self._batch(batch_seed))

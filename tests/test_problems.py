@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
 
+import cgd.problems
+from cgd.harness import ExperimentConfig, run_experiment
 from cgd.problems import (
     DEPTH,
     N_NEURONS,
     N_PARAMS,
+    INPUT_NEURONS,
     DimensionTooSmall,
     EmptyBatch,
     MultiplyProblem,
@@ -164,3 +167,83 @@ def test_multiply_gradient_descends():
     before = p.loss(q, batch_seed=9)
     after = p.loss(q - 1e-3 * g / np.max(np.abs(g)), batch_seed=9)
     assert after < before
+
+
+def test_one_batch_draw_per_step(monkeypatch):
+    draws = []
+
+    def counting_sample_batch(seed, size):
+        draws.append((seed, size))
+        return sample_batch(seed, size)
+
+    monkeypatch.setattr(cgd.problems, "sample_batch", counting_sample_batch)
+    run_experiment(ExperimentConfig(problem="multiply", optimizer="adam", steps=20))
+    # gradient and post-update loss of a step share the step's batch
+    assert len(draws) == 20
+    assert len(set(draws)) == 20
+
+
+def test_cached_batch_is_a_read_only_copy_of_the_draw():
+    p = MultiplyProblem(batch_size=12)
+    batch = p._batch(3)
+    assert np.array_equal(batch, sample_batch(3, 12))
+    assert batch.flags.c_contiguous
+    with pytest.raises(ValueError):
+        batch[0, 0] = 0.0
+    assert p._batch(3) is batch
+    assert p._batch(None) is p._batch(0)
+    # a new seed, or a batch size changed on the instance, draws again
+    other = p._batch(4)
+    assert other is not batch and np.array_equal(other, sample_batch(4, 12))
+    p.batch_size = 5
+    resized = p._batch(4)
+    assert resized.shape == (5, 3) and np.array_equal(resized, sample_batch(4, 5))
+
+
+def reference_states(weights, biases, inputs):
+    """Textbook forward pass: tanh(x @ W.T + b), DEPTH times."""
+    x = np.zeros((inputs.shape[0], N_NEURONS))
+    x[:, list(INPUT_NEURONS)] = inputs[:, :2]
+    states = [x]
+    for _ in range(DEPTH):
+        states.append(np.tanh(states[-1] @ weights.T + biases))
+    return states
+
+
+def reference_loss_and_grad(q, batch):
+    """Textbook reverse pass, keeping the last sensitivity product."""
+    weights, biases = unpack_params(q)
+    n = batch.shape[0]
+    states = reference_states(weights, biases, batch)
+    residual = states[-1][:, OUTPUT_NEURON] - batch[:, 2]
+    gw = np.zeros_like(weights)
+    gb = np.zeros_like(biases)
+    sensitivity = np.zeros((n, N_NEURONS))
+    sensitivity[:, OUTPUT_NEURON] = 2.0 * residual / n
+    for k in range(DEPTH, 0, -1):
+        u = sensitivity * (1.0 - states[k] ** 2)
+        gw += u.T @ states[k - 1]
+        gb += u.sum(axis=0)
+        sensitivity = u @ weights
+    return float(np.mean(residual**2)), np.concatenate([gw.ravel(), gb]), states
+
+
+@pytest.mark.parametrize("size", [1, 7, 100])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_network_kernel_matches_textbook_reference(size, seed):
+    rng = np.random.default_rng(seed)
+    # a small scale keeps tanh linear-ish, a large one saturates it
+    for scale in (0.1, 1.0):
+        q = scale * rng.standard_normal(N_PARAMS)
+        batch = sample_batch(seed, size)
+        ref_loss, ref_grad, ref_states = reference_loss_and_grad(q, batch)
+        states = net_states(*unpack_params(q), batch)
+        assert len(states) == DEPTH + 1
+        for got, want in zip(states, ref_states):
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+        loss, grad = net_loss_and_grad(q, batch)
+        assert grad.shape == (N_PARAMS,)
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-13)
+        np.testing.assert_allclose(net_loss(q, batch), ref_loss, rtol=1e-13)
+        atol = 1e-13 * np.max(np.abs(ref_grad))
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-13, atol=atol)

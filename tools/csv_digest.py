@@ -37,7 +37,10 @@ CONFIGS: dict[str, dict] = {
     **{f"rosenbrock-{name}": {"problem": "rosenbrock", "optimizer": name, "steps": 5000}
        for name in ("sgd", "rmsprop", "adam", "adabelief", "cgd_diagonal")},
     **{f"multiply-{name}": {"problem": "multiply", "optimizer": name, "steps": 300}
-       for name in ("adabelief", "cgd_diagonal")},
+       for name in ("sgd", "rmsprop", "adam", "adabelief", "cgd_diagonal")},
+    # one-row batches take the vector-matrix path through the network
+    "multiply-cgd_diagonal-batch1": {"problem": "multiply", "optimizer": "cgd_diagonal",
+                                     "steps": 300, "batch_size": 1},
 }
 
 
