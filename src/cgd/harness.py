@@ -39,7 +39,8 @@ class ConfigError(ValueError):
 
 
 class NumericalError(RuntimeError):
-    """Loss or full-metric statistic became non-finite during a run."""
+    """Loss or full-metric statistic became non-finite during a run, or the
+    eigensolver did not converge on the statistic."""
 
     def __init__(self, message: str, step: int):
         super().__init__(message)
@@ -271,7 +272,7 @@ def _keep_heap_resident() -> None:
     """Stop glibc from handing the heap top back to the kernel after each step.
 
     A full-metric step at d = 552 frees its transient d x d arrays (outer
-    product, covariance, eigh workspace, basis) together. They exceed glibc's
+    product, covariance, eigensolver workspace) together. They exceed glibc's
     dynamic trim threshold, so the heap top is trimmed and the next step
     faults about 11 MB back in. A fixed trim threshold keeps those pages, but
     it also stops glibc raising the mmap threshold as it goes, which would
@@ -337,6 +338,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
         except NonFiniteMatrix as exc:
             raise NumericalError(
                 f"full-metric statistic became non-finite at step {t + 1}", step=t + 1
+            ) from exc
+        except np.linalg.LinAlgError as exc:
+            raise NumericalError(
+                f"eigendecomposition did not converge at step {t + 1}: {exc}", step=t + 1
             ) from exc
         loss = problem.loss(state.params, bs)
         if not math.isfinite(loss):

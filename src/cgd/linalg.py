@@ -4,14 +4,42 @@ inverse metric needs.
 Everything here operates on plain float64 numpy arrays. Symmetric matrices
 are required to be exactly symmetric (entry-for-entry); the moment-tracking
 layer preserves that by construction.
+
+The inverse metric needs the spectrum w of A and the product V f(w) V^T x
+for one vector x, never the eigenvector matrix V itself. LAPACK's ``dsyevd``
+(what ``np.linalg.eigh`` runs) reduces A = Q T Q^T to tridiagonal form
+(``dsytrd``), finds T = Z diag(w) Z^T (``dstedc``), then forms V = Q Z
+(``dormtr``), which is about half its time at d = 552. From
+:data:`TRIDIAGONAL_MIN_DIM` on, :func:`eigendecompose` runs the first two
+stages itself, through the ILP64 OpenBLAS that numpy bundles, and
+:meth:`EigenDecomposition.apply` applies Q's reflectors to the one vector.
+The eigenvalues are bitwise those of ``np.linalg.eigh``; products with V
+round differently. Below that dimension, or where numpy bundles no
+scipy-openblas (conda/MKL and Accelerate builds), ``np.linalg.eigh`` runs and
+Q is the identity.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import math
+import os
 from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
+
+# Smallest dimension decomposed through the tridiagonal stages. Below it
+# np.linalg.eigh plus a dense apply is faster: the two reflector sweeps and
+# the per-call ctypes overhead cost more than forming V saves.
+TRIDIAGONAL_MIN_DIM = 64
+
+# dsyevd rescales A when its largest entry falls outside [RMIN, RMAX]
+# (dlamch 'S' and 'P': the smallest normal double and the machine epsilon).
+_SMLNUM = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+_RMIN = math.sqrt(_SMLNUM)
+_RMAX = math.sqrt(1.0 / _SMLNUM)
 
 
 class NonFiniteMatrix(ValueError):
@@ -19,22 +47,51 @@ class NonFiniteMatrix(ValueError):
 
 
 class EigenDecomposition(NamedTuple):
-    """Spectral factorization A = V diag(w) V^T of a symmetric matrix.
+    """Spectral factorization A = Q Z diag(w) Z^T Q^T of a symmetric matrix.
 
-    ``eigenvalues`` are ascending; ``eigenvectors`` holds the matching
-    orthonormal columns.
+    ``eigenvalues`` (w) are ascending. ``z`` holds the orthonormal
+    eigenvectors of the tridiagonal matrix T = Q^T A Q, as columns.
+    ``reflectors`` and ``tau`` are ``dsytrd``'s packed Householder
+    reflectors, whose product is Q; both are None when Q is the identity,
+    and ``z`` is then A's own eigenvector matrix.
     """
 
     eigenvalues: NDArray[np.float64]
-    eigenvectors: NDArray[np.float64]
+    z: NDArray[np.float64]
+    reflectors: NDArray[np.float64] | None = None
+    tau: NDArray[np.float64] | None = None
+
+    def apply(self, weights: NDArray[np.float64], x) -> NDArray[np.float64]:
+        """V diag(weights) V^T x, with V = Q Z the eigenvectors of A."""
+        z = self.z
+        if self.reflectors is None:
+            return z @ (weights * (z.T @ x))
+        lapack = _binding()
+        y = np.array(x, dtype=np.float64)
+        if y.shape != (z.shape[0],):
+            raise ValueError(f"expected a vector of length {z.shape[0]}, got shape {y.shape}")
+        lapack.reflect(self.reflectors, self.tau, y, b"T")
+        y = z @ (weights * (z.T @ y))
+        lapack.reflect(self.reflectors, self.tau, y, b"N")
+        return y
+
+    @property
+    def eigenvectors(self) -> NDArray[np.float64]:
+        """A's orthonormal eigenvectors as columns, formed on each access."""
+        if self.reflectors is None:
+            return self.z
+        v = np.array(self.z, order="F")
+        _binding().reflect(self.reflectors, self.tau, v, b"N")
+        return v
 
 
 def eigendecompose(a) -> EigenDecomposition:
-    """Eigendecompose a square, finite, exactly symmetric matrix with LAPACK
-    ``eigh``; eigenvalues ascending.
+    """Eigendecompose a square, finite, exactly symmetric matrix; eigenvalues
+    ascending and bitwise equal to ``np.linalg.eigh``'s.
 
-    Raises :class:`NonFiniteMatrix` on an infinite or NaN entry and
-    ``ValueError`` on a non-square or asymmetric input.
+    Raises :class:`NonFiniteMatrix` on an infinite or NaN entry,
+    ``ValueError`` on a non-square or asymmetric input, and
+    ``np.linalg.LinAlgError`` if the eigensolver does not converge.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -43,8 +100,105 @@ def eigendecompose(a) -> EigenDecomposition:
         raise NonFiniteMatrix("matrix has non-finite entries")
     if not np.array_equal(a, a.T):
         raise ValueError("matrix is not symmetric")
-    eigenvalues, eigenvectors = np.linalg.eigh(a)
-    return EigenDecomposition(eigenvalues, eigenvectors)
+    lapack = _binding() if a.shape[0] >= TRIDIAGONAL_MIN_DIM else None
+    if lapack is None:
+        eigenvalues, eigenvectors = np.linalg.eigh(a)
+        return EigenDecomposition(eigenvalues, eigenvectors)
+    return lapack.decompose(a)
 
 
-__all__ = ["NonFiniteMatrix", "EigenDecomposition", "eigendecompose"]
+class _Lapack:
+    """``dsytrd``, ``dstedc`` and ``dormtr`` of an ILP64 LAPACK, called with
+    the lower triangle, the workspaces and the scaling ``dsyevd`` uses."""
+
+    def __init__(self, lib: ctypes.CDLL):
+        # (routine, character arguments, other arguments): every argument is
+        # passed by reference; each character one adds a hidden length
+        shapes = {"dsytrd": (1, 9), "dstedc": (1, 10), "dormtr": (3, 10)}
+        for name, (chars, others) in shapes.items():
+            fn = getattr(lib, f"scipy_{name}_64_")
+            fn.argtypes = [ctypes.c_void_p] * (chars + others) + [ctypes.c_size_t] * chars
+            fn.restype = None
+            setattr(self, name, fn)
+        self._tridiagonal_work = {}
+
+    @staticmethod
+    def _check(name: str, info: ctypes.c_int64) -> None:
+        if info.value > 0:
+            raise np.linalg.LinAlgError(f"{name}: eigenvalues did not converge")
+        if info.value < 0:
+            raise ValueError(f"{name}: illegal value in argument {-info.value}")
+
+    def tridiagonal_work(self, n: int) -> int:
+        """``dsytrd``'s optimal workspace (n times its block size), which
+        ``dsyevd``'s own workspace always covers; queried once per n."""
+        if n not in self._tridiagonal_work:
+            query, info = np.empty(1), ctypes.c_int64(0)
+            size, ref = ctypes.c_int64(n), ctypes.byref
+            self.dsytrd(b"L", ref(size), None, ref(size), None, None, None, query.ctypes.data,
+                        ref(ctypes.c_int64(-1)), ref(info), ctypes.c_size_t(1))
+            self._check("dsytrd", info)
+            self._tridiagonal_work[n] = int(query[0])
+        return self._tridiagonal_work[n]
+
+    def decompose(self, a: NDArray[np.float64]) -> EigenDecomposition:
+        n = a.shape[0]
+        size, info = ctypes.c_int64(n), ctypes.c_int64(0)
+        ref, one = ctypes.byref, ctypes.c_size_t(1)
+        # a is symmetric, so its transpose's column-major copy is a memcpy
+        reflectors = np.array(a.T, order="F")
+        largest = max(float(a.max()), -float(a.min()))
+        scale = None
+        if 0.0 < largest < _RMIN:
+            scale = _RMIN / largest
+        elif largest > _RMAX:
+            scale = _RMAX / largest
+        if scale is not None:
+            reflectors *= scale
+
+        d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
+        work = np.empty(self.tridiagonal_work(n))
+        self.dsytrd(b"L", ref(size), reflectors.ctypes.data, ref(size), d.ctypes.data,
+                    e.ctypes.data, tau.ctypes.data, work.ctypes.data,
+                    ref(ctypes.c_int64(work.size)), ref(info), one)
+        self._check("dsytrd", info)
+
+        z = np.empty((n, n), order="F")
+        work = np.empty(1 + 4 * n + n * n)
+        iwork = np.empty(3 + 5 * n, dtype=np.int64)
+        self.dstedc(b"I", ref(size), d.ctypes.data, e.ctypes.data, z.ctypes.data, ref(size),
+                    work.ctypes.data, ref(ctypes.c_int64(work.size)), iwork.ctypes.data,
+                    ref(ctypes.c_int64(iwork.size)), ref(info), one)
+        self._check("dstedc", info)
+        if scale is not None:
+            d *= 1.0 / scale
+        return EigenDecomposition(d, z, reflectors, tau)
+
+    def reflect(self, reflectors, tau, c, trans: bytes) -> None:
+        """Overwrite the n x k column-major ``c`` with Q c (``trans`` b"N")
+        or Q^T c (b"T"). One column runs unblocked (work of one entry); more
+        get ``dsyevd``'s own workspace, so Q Z is bitwise its V."""
+        n = reflectors.shape[0]
+        k = 1 if c.ndim == 1 else c.shape[1]
+        size, cols, info = ctypes.c_int64(n), ctypes.c_int64(k), ctypes.c_int64(0)
+        work = np.empty(1 if k == 1 else 1 + 4 * n + n * n)
+        ref, one = ctypes.byref, ctypes.c_size_t(1)
+        self.dormtr(b"L", b"L", trans, ref(size), ref(cols), reflectors.ctypes.data,
+                    ref(size), tau.ctypes.data, c.ctypes.data, ref(size), work.ctypes.data,
+                    ref(ctypes.c_int64(work.size)), ref(info), one, one, one)
+        self._check("dormtr", info)
+
+
+@functools.cache
+def _binding() -> _Lapack | None:
+    """The LAPACK of the scipy-openblas (ILP64) that numpy bundles, bound on
+    first use; None where the library or its symbols are not there."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    try:
+        name = min(n for n in os.listdir(libs) if n.startswith("libscipy_openblas64_"))
+        return _Lapack(ctypes.CDLL(os.path.join(libs, name)))
+    except (OSError, ValueError, AttributeError):
+        return None
+
+
+__all__ = ["NonFiniteMatrix", "EigenDecomposition", "TRIDIAGONAL_MIN_DIM", "eigendecompose"]

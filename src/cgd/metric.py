@@ -50,20 +50,24 @@ class MetricSpec:
 class InverseMetricOperator:
     """Materialized inverse metric (eps*I + clamp0(S))^(-power).
 
-    ``basis`` is None for a diagonal metric, otherwise the eigenvector matrix
-    of S; ``weights`` holds the regularized spectrum raised to ``-power``.
-    ``eigenvalues`` is the raw ascending spectrum of S that the build
-    decomposed (before clamping), or None for a diagonal metric.
+    ``factorization`` is None for a diagonal metric, otherwise the
+    eigendecomposition of S; ``weights`` holds the regularized spectrum
+    raised to ``-power``.
     """
 
     weights: np.ndarray
-    basis: np.ndarray | None
-    eigenvalues: np.ndarray | None = None
+    factorization: linalg.EigenDecomposition | None
+
+    @property
+    def eigenvalues(self) -> np.ndarray | None:
+        """The raw ascending spectrum of S that the build decomposed (before
+        clamping), or None for a diagonal metric."""
+        return None if self.factorization is None else self.factorization.eigenvalues
 
     def apply(self, force: np.ndarray) -> np.ndarray:
-        if self.basis is None:
+        if self.factorization is None:
             return force * self.weights
-        return self.basis @ (self.weights * (self.basis.T @ force))
+        return self.factorization.apply(self.weights, force)
 
 
 def build_inverse_metric(state: MomentState, spec: MetricSpec) -> InverseMetricOperator:
@@ -79,9 +83,9 @@ def build_inverse_metric(state: MomentState, spec: MetricSpec) -> InverseMetricO
         raise ModeMismatch(f"a {spec.shape.value} metric needs a {spec.shape.value}-mode state")
     stat = covariance(state) if spec.statistic is MetricStatistic.COVARIANCE else state.m2
     if spec.shape is MetricShape.FULL:
-        eigenvalues, eigenvectors = linalg.eigendecompose(stat)
-        weights = (np.maximum(eigenvalues, 0.0) + spec.eps) ** (-spec.power)
-        return InverseMetricOperator(weights, eigenvectors, eigenvalues)
+        factorization = linalg.eigendecompose(stat)
+        weights = (np.maximum(factorization.eigenvalues, 0.0) + spec.eps) ** (-spec.power)
+        return InverseMetricOperator(weights, factorization)
     weights = (np.maximum(stat, 0.0) + spec.eps) ** (-spec.power)
     return InverseMetricOperator(weights, None)
 

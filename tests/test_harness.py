@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cgd
-from cgd import cli, harness
+from cgd import cli, harness, linalg
 from cgd.harness import (
     ConfigError,
     ExperimentConfig,
@@ -508,6 +508,37 @@ def test_cli_non_finite_full_metric_is_a_numerical_failure(tmp_path, capsys):
     assert cli.main(["run", "--config", cfg]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure:") and "step 1" in err
+    assert "Traceback" not in err
+    with pytest.raises(NumericalError) as caught:
+        run_experiment(ExperimentConfig.from_file(cfg))
+    assert caught.value.step == 1
+
+
+def _fail_eigh(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def _fail_dstedc(*args):
+    args[10]._obj.value = 1  # info > 0: the tridiagonal solver did not converge
+
+
+@pytest.mark.parametrize("solver", ["eigh", "dstedc"])
+def test_non_converging_eigensolver_is_a_numerical_failure(tmp_path, capsys, monkeypatch,
+                                                           solver):
+    # eigh serves dimensions below the tridiagonal threshold, dstedc the rest
+    if solver == "eigh":
+        dim = 2
+        monkeypatch.setattr(np.linalg, "eigh", _fail_eigh)
+    else:
+        if linalg._binding() is None:
+            pytest.skip("numpy bundles no scipy-openblas LAPACK")
+        dim = linalg.TRIDIAGONAL_MIN_DIM
+        monkeypatch.setattr(linalg._binding(), "dstedc", _fail_dstedc)
+    cfg = write_cfg(tmp_path, f"problem = rosenbrock\noptimizer = cgd_full\ndim = {dim}\n"
+                              f"steps = 3\noutput_dir = {tmp_path}\n")
+    assert cli.main(["run", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: eigendecomposition did not converge at step 1")
     assert "Traceback" not in err
     with pytest.raises(NumericalError) as caught:
         run_experiment(ExperimentConfig.from_file(cfg))

@@ -4,7 +4,8 @@ that the inverse-metric operator takes on its spectrum."""
 import numpy as np
 import pytest
 
-from cgd.linalg import NonFiniteMatrix, eigendecompose
+from cgd import linalg
+from cgd.linalg import TRIDIAGONAL_MIN_DIM, EigenDecomposition, NonFiniteMatrix, eigendecompose
 from cgd.metric import MetricSpec, build_inverse_metric
 from cgd.moments import MomentState
 
@@ -24,20 +25,22 @@ def inverse_metric(m2, power, eps, shape="full"):
 
 def test_two_by_two_known_spectrum():
     # characteristic polynomial of [[2,1],[1,2]]: (2-w)^2 - 1 -> w = 1, 3
-    w, v = eigendecompose([[2.0, 1.0], [1.0, 2.0]])
+    dec = eigendecompose([[2.0, 1.0], [1.0, 2.0]])
+    w, v = dec.eigenvalues, dec.eigenvectors
     assert np.allclose(w, [1.0, 3.0], atol=1e-14)
     assert np.allclose(v.T @ v, np.eye(2), atol=1e-14)
 
 
 def test_identity_spectrum():
-    w, v = eigendecompose(np.eye(4))
+    dec = eigendecompose(np.eye(4))
+    w, v = dec.eigenvalues, dec.eigenvectors
     assert np.array_equal(w, np.ones(4))
     # columns must still form an orthonormal basis
     assert np.allclose(v.T @ v, np.eye(4), atol=1e-14)
 
 
 def test_diagonal_matrix_sorted_ascending():
-    w, _ = eigendecompose(np.diag([5.0, -3.0]))
+    w = eigendecompose(np.diag([5.0, -3.0])).eigenvalues
     assert np.array_equal(w, [-3.0, 5.0])
 
 
@@ -45,7 +48,8 @@ def test_diagonal_matrix_sorted_ascending():
 def test_reconstruction(d):
     rng = np.random.default_rng(d)
     a = random_symmetric(rng, d, scale=3.0)
-    w, v = eigendecompose(a)
+    dec = eigendecompose(a)
+    w, v = dec.eigenvalues, dec.eigenvectors
     assert np.all(np.diff(w) >= 0)
     assert np.allclose(v @ np.diag(w) @ v.T, a, atol=1e-9)
     assert np.allclose(v.T @ v, np.eye(d), atol=1e-12)
@@ -55,8 +59,8 @@ def test_rotation_equivariance_of_spectrum():
     rng = np.random.default_rng(7)
     a = random_symmetric(rng, 6)
     q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-    w_a, _ = eigendecompose(a)
-    w_r, _ = eigendecompose((q @ a @ q.T + (q @ a @ q.T).T) / 2.0)
+    w_a = eigendecompose(a).eigenvalues
+    w_r = eigendecompose((q @ a @ q.T + (q @ a @ q.T).T) / 2.0).eigenvalues
     assert np.allclose(np.sort(w_a), np.sort(w_r), atol=1e-9)
 
 
@@ -98,7 +102,8 @@ def test_apply_inverse_metric_matches_dense_power():
     f = rng.standard_normal(7)
     eps, a = 1e-3, 0.37
     got = inverse_metric(c, a, eps).apply(f)
-    w, v = eigendecompose(c)
+    dec = eigendecompose(c)
+    w, v = dec.eigenvalues, dec.eigenvectors
     dense = (v * (np.maximum(w, 0.0) + eps) ** (-a)) @ v.T
     assert np.allclose(got, dense @ f, atol=1e-10)
 
@@ -124,7 +129,7 @@ def test_diagonal_path_matches_full_path():
     f = rng.standard_normal(6)
     fast = inverse_metric(m2, 0.41, 1e-8, shape="diagonal")
     full = inverse_metric(np.diag(m2), 0.41, 1e-8)
-    assert fast.basis is None and full.basis is not None
+    assert fast.factorization is None and full.factorization is not None
     assert np.allclose(fast.apply(f), full.apply(f), atol=1e-12)
 
 
@@ -143,3 +148,82 @@ def test_eps_must_be_positive():
     for eps in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             MetricSpec("full", "second_moment", 0.5, eps=eps)
+
+
+# --- the tridiagonal path: eigh's first two LAPACK stages, reflectors kept ---
+
+tridiagonal = pytest.mark.skipif(linalg._binding() is None,
+                                 reason="numpy bundles no scipy-openblas LAPACK")
+PARITY_DIMS = sorted({64, 100, 552, TRIDIAGONAL_MIN_DIM})
+
+
+@tridiagonal
+@pytest.mark.parametrize("d", PARITY_DIMS)
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 1e150])
+def test_tridiagonal_path_is_bitwise_eigh(d, scale):
+    # 1e-160 and 1e150 put the largest entry below RMIN and above RMAX, where
+    # dsyevd decomposes a rescaled copy and rescales the eigenvalues back
+    a = random_symmetric(np.random.default_rng(d), d, scale=scale)
+    dec = eigendecompose(a)
+    assert dec.reflectors is not None
+    w, v = np.linalg.eigh(a)
+    assert np.array_equal(dec.eigenvalues, w)
+    assert np.array_equal(dec.eigenvectors, v)
+
+
+@tridiagonal
+@pytest.mark.parametrize("d", PARITY_DIMS)
+def test_tridiagonal_apply_matches_dense_product(d):
+    rng = np.random.default_rng(d + 1)
+    g = rng.standard_normal((d, d // 3))
+    a = g @ g.T  # rank-deficient, like the metric's covariance
+    a = (a + a.T) / 2.0
+    dec = eigendecompose(a)
+    weights = (np.maximum(dec.eigenvalues, 0.0) + 1e-8) ** -0.4
+    x = rng.standard_normal(d)
+    v = np.linalg.eigh(a)[1]
+    dense = v @ (weights * (v.T @ x))
+    got = dec.apply(weights, x)
+    assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+    # LAPACK would read past the end of a short vector
+    with pytest.raises(ValueError, match="length"):
+        dec.apply(weights, x[:-1])
+
+
+@tridiagonal
+def test_factorization_holds_reflectors_tau_and_z_only():
+    d = TRIDIAGONAL_MIN_DIM + 6
+    dec = eigendecompose(random_symmetric(np.random.default_rng(2), d))
+    assert EigenDecomposition._fields == ("eigenvalues", "z", "reflectors", "tau")
+    assert dec.eigenvalues.shape == (d,) and dec.tau.shape == (d - 1,)
+    assert dec.z.shape == dec.reflectors.shape == (d, d)
+
+
+@tridiagonal
+def test_non_converging_tridiagonal_solver_raises_linalg_error(monkeypatch):
+    def failing_dstedc(*args):
+        args[10]._obj.value = 1  # info > 0: the solver did not converge
+
+    monkeypatch.setattr(linalg._binding(), "dstedc", failing_dstedc)
+    with pytest.raises(np.linalg.LinAlgError, match="dstedc"):
+        eigendecompose(random_symmetric(np.random.default_rng(0), TRIDIAGONAL_MIN_DIM))
+
+
+def _assert_is_eigh(a):
+    dec = eigendecompose(a)
+    w, v = np.linalg.eigh(a)
+    assert dec.reflectors is None and dec.tau is None
+    assert np.array_equal(dec.eigenvalues, w)
+    assert np.array_equal(dec.z, v) and dec.eigenvectors is dec.z
+    x = np.random.default_rng(1).standard_normal(a.shape[0])
+    weights = np.linspace(0.5, 2.0, a.shape[0])
+    assert np.array_equal(dec.apply(weights, x), v @ (weights * (v.T @ x)))
+
+
+def test_below_threshold_is_eigh():
+    _assert_is_eigh(random_symmetric(np.random.default_rng(3), TRIDIAGONAL_MIN_DIM - 1))
+
+
+def test_missing_binding_falls_back_to_eigh(monkeypatch):
+    monkeypatch.setattr(linalg, "_binding", lambda: None)
+    _assert_is_eigh(random_symmetric(np.random.default_rng(4), 100))

@@ -41,7 +41,7 @@ def test_statistic_values_diagonal_state():
     assert np.array_equal(raw.weights, [5.0 ** -0.5, 2.0 ** -0.5])
     centered = build_inverse_metric(st, MetricSpec("diagonal", "covariance", 0.5, eps=1.0))
     assert np.array_equal(centered.weights, [1.0, 1.0])
-    assert raw.basis is None and centered.basis is None
+    assert raw.factorization is None and centered.factorization is None
 
 
 def test_diagonal_metric_needs_diagonal_state():
@@ -98,7 +98,8 @@ def test_precondition_matches_dense_computation():
     spec = MetricSpec("full", "covariance", 0.4, eps=1e-6)
     got = build_inverse_metric(st, spec).apply(f)
     cov = st.m2 - np.outer(st.m1, st.m1)
-    w, v = eigendecompose(cov)
+    dec = eigendecompose(cov)
+    w, v = dec.eigenvalues, dec.eigenvectors
     dense = (v * (np.maximum(w, 0.0) + 1e-6) ** -0.4) @ v.T
     assert np.allclose(got, dense @ f, atol=1e-10)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cgd import linalg
 from cgd.metric import MetricSpec, MetricStatistic, build_inverse_metric
 from cgd.moments import MetricShape, MomentState, Timescales, update_moments
 from cgd.optimizer import (
@@ -149,8 +150,31 @@ def test_metric_update_interval_reuses_operator():
     for t in (0, 3, 6):
         fresh = build_inverse_metric(moments[t], cfg.metric)
         assert np.array_equal(ops[t].weights, fresh.weights)
-        assert np.array_equal(ops[t].basis, fresh.basis)
+        built, rebuilt = ops[t].factorization, fresh.factorization
+        for field in ("eigenvalues", "z", "reflectors", "tau"):
+            assert np.array_equal(getattr(built, field), getattr(rebuilt, field))
     assert not np.array_equal(ops[3].weights, build_inverse_metric(moments[4], cfg.metric).weights)
+
+
+@pytest.mark.skipif(linalg._binding() is None, reason="numpy bundles no scipy-openblas LAPACK")
+def test_cached_operator_on_the_tridiagonal_path_is_the_build():
+    # at d = 70 the factorization keeps the reflectors, tau and the
+    # tridiagonal eigenvectors, which a cached operator carries as built
+    cfg = preset("cgd_full", context="multiply", metric_update_interval=3)
+    rng = np.random.default_rng(11)
+    st = initial_state(rng.standard_normal(70), cfg)
+    ops, moments = [], []
+    for _ in range(4):
+        st = step(st, rng.standard_normal(70), cfg)
+        ops.append(st.precond)
+        moments.append(st.moments)
+    assert ops[0] is ops[1] is ops[2] and ops[3] is not ops[0]
+    for t in (0, 3):
+        built = ops[t].factorization
+        rebuilt = build_inverse_metric(moments[t], cfg.metric).factorization
+        assert built.reflectors is not None
+        for field in ("eigenvalues", "z", "reflectors", "tau"):
+            assert np.array_equal(getattr(built, field), getattr(rebuilt, field))
 
 
 def test_state_carries_the_spectrum_only_from_a_build():

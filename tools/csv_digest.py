@@ -11,6 +11,8 @@ Each config runs in its own `python -m cgd.cli run` process with PYTHONPATH
 and OPENBLAS_NUM_THREADS set to the given values, so the tree under test is
 the one imported. The three multiply `cgd_full` configs differ between one
 and two BLAS threads, so running both thread counts exercises the BLAS path.
+The full-metric CSVs at d >= `cgd.linalg.TRIDIAGONAL_MIN_DIM` also depend on
+whether numpy bundles scipy-openblas, which decides the eigensolver path.
 """
 
 from __future__ import annotations
@@ -38,6 +40,11 @@ CONFIGS: dict[str, dict] = {
        for name in ("sgd", "rmsprop", "adam", "adabelief", "cgd_diagonal")},
     **{f"multiply-{name}": {"problem": "multiply", "optimizer": name, "steps": 300}
        for name in ("sgd", "rmsprop", "adam", "adabelief", "cgd_diagonal")},
+    # generalized Rosenbrock on either side of linalg.TRIDIAGONAL_MIN_DIM: the
+    # first keeps np.linalg.eigh, the second runs the tridiagonal path
+    **{f"rosenbrock-full-dim{dim}": {"problem": "rosenbrock", "optimizer": "cgd_full",
+                                     "steps": 300, "dim": dim}
+       for dim in (63, 64)},
     # one-row batches take the vector-matrix path through the network
     "multiply-cgd_diagonal-batch1": {"problem": "multiply", "optimizer": "cgd_diagonal",
                                      "steps": 300, "batch_size": 1},
