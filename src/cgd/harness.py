@@ -240,7 +240,7 @@ def track_eigenvalues(
     if not 1 <= k <= moments.dim:
         raise ValueError(f"k must be in [1, {moments.dim}], got {k}")
     if spectrum is None:
-        spectrum = eigendecompose(covariance(moments)).eigenvalues
+        spectrum = eigendecompose(covariance(moments), overwrite_a=True).eigenvalues
     elif spectrum.shape != (moments.dim,):
         raise ValueError(
             f"spectrum shape {spectrum.shape} does not match dimension {moments.dim}"
@@ -309,15 +309,19 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     problem = cfg.build_problem()
     opt_cfg = cfg.optimizer_config()
 
-    if cfg.q0 is not None:
-        q_start = np.asarray(cfg.q0, dtype=np.float64)
-    else:
-        q_start = problem.initial_params(cfg.seed)
-    state = initial_state(q_start, opt_cfg)
+    # numpy refuses a size past its limit with ValueError and one past the
+    # machine's memory with MemoryError; either way the config asked for it
+    try:
+        if cfg.q0 is not None:
+            q_start = np.asarray(cfg.q0, dtype=np.float64)
+        else:
+            q_start = problem.initial_params(cfg.seed)
+        state = initial_state(q_start, opt_cfg)
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"dim: no room for the state of {problem.dim} parameters: {exc}") \
+            from None
 
     stochastic = cfg.problem == "multiply"
-    batch_seeds = batch_seed_sequence(cfg.seed, cfg.steps) if stochastic else None
-
     dim = q_start.shape[0]
     keep_params = dim <= 4
     k = cfg.eig_track_k
@@ -325,10 +329,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     # the covariance; a second-moment metric's spectrum is of m2
     reuse_spectrum = opt_cfg.metric.statistic is MetricStatistic.COVARIANCE
 
-    losses = np.empty(cfg.steps)
-    smoothed = np.empty(cfg.steps)
-    params = np.empty((cfg.steps, dim)) if keep_params else None
-    eigs = np.empty((cfg.steps, k)) if k > 0 else None
+    try:
+        batch_seeds = batch_seed_sequence(cfg.seed, cfg.steps) if stochastic else None
+        losses = np.empty(cfg.steps)
+        smoothed = np.empty(cfg.steps)
+        params = np.empty((cfg.steps, dim)) if keep_params else None
+        eigs = np.empty((cfg.steps, k)) if k > 0 else None
+    except (MemoryError, ValueError) as exc:
+        raise ConfigError(f"steps: no room for the record of {cfg.steps} steps: {exc}") from None
 
     for t in range(cfg.steps):
         bs = int(batch_seeds[t]) if stochastic else None

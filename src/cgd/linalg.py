@@ -17,6 +17,15 @@ The eigenvalues are bitwise those of ``np.linalg.eigh``; products with V
 round differently. Below that dimension, or where numpy bundles no
 scipy-openblas (conda/MKL and Accelerate builds), ``np.linalg.eigh`` runs and
 Q is the identity.
+
+``dsytrd`` overwrites its input with the reflectors, so the tridiagonal path
+copies A first. A caller that built A for this one call and never reads it
+again passes ``overwrite_a=True`` (as in ``scipy.linalg.eigh``) to skip the
+copy: a writeable, C- or F-contiguous float64 A then becomes the returned
+decomposition's ``reflectors``. From that call on the decomposition owns the
+buffer: the caller must neither read A (it holds the reflectors, not A) nor
+write it (that would change every later ``apply``). Any other input is still
+copied, and ``np.linalg.eigh`` below the size rule never overwrites.
 """
 
 from __future__ import annotations
@@ -64,12 +73,13 @@ class EigenDecomposition(NamedTuple):
     def apply(self, weights: NDArray[np.float64], x) -> NDArray[np.float64]:
         """V diag(weights) V^T x, with V = Q Z the eigenvectors of A."""
         z = self.z
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (z.shape[0],):
+            raise ValueError(f"expected a vector of length {z.shape[0]}, got shape {x.shape}")
         if self.reflectors is None:
             return z @ (weights * (z.T @ x))
         lapack = _binding()
-        y = np.array(x, dtype=np.float64)
-        if y.shape != (z.shape[0],):
-            raise ValueError(f"expected a vector of length {z.shape[0]}, got shape {y.shape}")
+        y = x.copy()
         lapack.reflect(self.reflectors, self.tau, y, b"T")
         y = z @ (weights * (z.T @ y))
         lapack.reflect(self.reflectors, self.tau, y, b"N")
@@ -85,9 +95,12 @@ class EigenDecomposition(NamedTuple):
         return v
 
 
-def eigendecompose(a) -> EigenDecomposition:
+def eigendecompose(a, *, overwrite_a: bool = False) -> EigenDecomposition:
     """Eigendecompose a square, finite, exactly symmetric matrix; eigenvalues
     ascending and bitwise equal to ``np.linalg.eigh``'s.
+
+    With ``overwrite_a`` the tridiagonal path may reduce ``a`` in its own
+    buffer, which the result then owns (see the module docstring).
 
     Raises :class:`NonFiniteMatrix` on an infinite or NaN entry,
     ``ValueError`` on a non-square or asymmetric input, and
@@ -104,7 +117,7 @@ def eigendecompose(a) -> EigenDecomposition:
     if lapack is None:
         eigenvalues, eigenvectors = np.linalg.eigh(a)
         return EigenDecomposition(eigenvalues, eigenvectors)
-    return lapack.decompose(a)
+    return lapack.decompose(a, overwrite_a)
 
 
 class _Lapack:
@@ -141,12 +154,15 @@ class _Lapack:
             self._tridiagonal_work[n] = int(query[0])
         return self._tridiagonal_work[n]
 
-    def decompose(self, a: NDArray[np.float64]) -> EigenDecomposition:
+    def decompose(self, a: NDArray[np.float64], overwrite_a: bool) -> EigenDecomposition:
         n = a.shape[0]
         size, info = ctypes.c_int64(n), ctypes.c_int64(0)
         ref, one = ctypes.byref, ctypes.c_size_t(1)
-        # a is symmetric, so its transpose's column-major copy is a memcpy
-        reflectors = np.array(a.T, order="F")
+        # a is exactly symmetric, so its C layout is its column-major layout:
+        # a C-contiguous a's transpose is a Fortran view of the same numbers
+        reflectors = a if a.flags.f_contiguous else a.T
+        if not (overwrite_a and reflectors.flags.f_contiguous and reflectors.flags.writeable):
+            reflectors = np.array(reflectors, order="F")
         largest = max(float(a.max()), -float(a.min()))
         scale = None
         if 0.0 < largest < _RMIN:

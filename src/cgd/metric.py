@@ -81,9 +81,11 @@ def build_inverse_metric(state: MomentState, spec: MetricSpec) -> InverseMetricO
     """
     if state.mode is not spec.shape:
         raise ModeMismatch(f"a {spec.shape.value} metric needs a {spec.shape.value}-mode state")
-    stat = covariance(state) if spec.statistic is MetricStatistic.COVARIANCE else state.m2
+    centered = spec.statistic is MetricStatistic.COVARIANCE
+    stat = covariance(state) if centered else state.m2
     if spec.shape is MetricShape.FULL:
-        factorization = linalg.eigendecompose(stat)
+        # the covariance was built for this call alone; m2 belongs to the state
+        factorization = linalg.eigendecompose(stat, overwrite_a=centered)
         weights = (np.maximum(factorization.eigenvalues, 0.0) + spec.eps) ** (-spec.power)
         return InverseMetricOperator(weights, factorization)
     weights = (np.maximum(stat, 0.0) + spec.eps) ** (-spec.power)

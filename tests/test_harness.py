@@ -298,6 +298,19 @@ def test_track_eigenvalues_rank_one():
     assert np.all(np.diff(eigs) <= 1e-12)  # descending
 
 
+def test_track_eigenvalues_leaves_the_moments_unchanged():
+    # on the tridiagonal path the fresh covariance is reduced in place
+    rng = np.random.default_rng(4)
+    d = linalg.TRIDIAGONAL_MIN_DIM + 6
+    g = rng.standard_normal((d, 5))
+    st = MomentState(m1=rng.standard_normal(d), m2=g @ g.T, step=1)
+    before = (st.m1.copy(), st.m2.copy())
+    eigs = track_eigenvalues(st, 4)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, (st.m1, st.m2)))
+    w = np.linalg.eigh(st.m2 - np.outer(st.m1, st.m1))[0]
+    assert np.array_equal(eigs, np.maximum(w, 0.0)[::-1][:4])
+
+
 def test_track_eigenvalues_errors():
     with pytest.raises(ModeMismatch):
         track_eigenvalues(MomentState.initial(3), 2)
@@ -491,6 +504,19 @@ def test_cli_config_errors(tmp_path):
     # a CSV path taken by a directory cannot be written
     (tmp_path / "taken" / "rosenbrock_cgd_diagonal_seed0.csv").mkdir(parents=True)
     assert cli.main(["run", "--config", ok, "--output_dir", str(tmp_path / "taken")]) == 2
+
+
+@pytest.mark.parametrize("override", [("steps", 10**15), ("steps", 10**19), ("dim", 10**15)])
+def test_cli_run_too_large_to_allocate_is_a_config_error(tmp_path, capsys, override):
+    # petabytes fail at once and allocate nothing; 10**19 passes numpy's
+    # size limit (ValueError rather than MemoryError)
+    key, value = override
+    cfg = write_cfg(tmp_path, f"optimizer = cgd_full\n{key} = {value}\n"
+                              f"output_dir = {tmp_path}\n")
+    assert cli.main(["run", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {key}: no room for") and "Traceback" not in err
+    assert not list(tmp_path.glob("*.csv"))
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -1,6 +1,8 @@
 """The checked eigendecomposition, and the fractional powers of a statistic
 that the inverse-metric operator takes on its spectrum."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -164,11 +166,14 @@ def test_tridiagonal_path_is_bitwise_eigh(d, scale):
     # 1e-160 and 1e150 put the largest entry below RMIN and above RMAX, where
     # dsyevd decomposes a rescaled copy and rescales the eigenvalues back
     a = random_symmetric(np.random.default_rng(d), d, scale=scale)
-    dec = eigendecompose(a)
-    assert dec.reflectors is not None
     w, v = np.linalg.eigh(a)
-    assert np.array_equal(dec.eigenvalues, w)
-    assert np.array_equal(dec.eigenvectors, v)
+    # overwrite_a hands dsytrd the caller's own buffer, in either layout
+    for given, overwrite in ((a, False), (a.copy(), True), (np.asfortranarray(a), True)):
+        dec = eigendecompose(given, overwrite_a=overwrite)
+        assert dec.reflectors is not None
+        assert np.shares_memory(dec.reflectors, given) is overwrite
+        assert np.array_equal(dec.eigenvalues, w)
+        assert np.array_equal(dec.eigenvectors, v)
 
 
 @tridiagonal
@@ -227,3 +232,84 @@ def test_below_threshold_is_eigh():
 def test_missing_binding_falls_back_to_eigh(monkeypatch):
     monkeypatch.setattr(linalg, "_binding", lambda: None)
     _assert_is_eigh(random_symmetric(np.random.default_rng(4), 100))
+
+
+@pytest.mark.parametrize("n", [10, 100])
+def test_apply_refuses_a_column_on_both_paths(n):
+    # an (n, 1) column would broadcast into an (n, n) product on the eigh path
+    dec = eigendecompose(random_symmetric(np.random.default_rng(n), n))
+    x = np.random.default_rng(0).standard_normal(n)
+    weights = np.ones(n)
+    assert dec.apply(weights, x).shape == (n,)
+    with pytest.raises(ValueError, match="length"):
+        dec.apply(weights, x[:, None])
+
+
+# --- overwrite_a: the tridiagonal path reduces a caller's buffer in place ---
+
+
+@pytest.mark.parametrize("n", [10, 100])
+def test_default_leaves_the_input_unchanged(n):
+    a = random_symmetric(np.random.default_rng(n), n)
+    before = a.copy()
+    dec = eigendecompose(a)
+    assert a.tobytes() == before.tobytes()
+    assert not np.shares_memory(dec.z, a)
+    assert dec.reflectors is None or not np.shares_memory(dec.reflectors, a)
+
+
+@tridiagonal
+def test_overwrite_copies_a_non_contiguous_view():
+    d = TRIDIAGONAL_MIN_DIM + 6
+    big = random_symmetric(np.random.default_rng(5), 2 * d)
+    before = big.copy()
+    view = big[::2, ::2]  # symmetric, strided in both axes
+    w, v = np.linalg.eigh(view)
+    dec = eigendecompose(view, overwrite_a=True)
+    assert big.tobytes() == before.tobytes()
+    assert not np.shares_memory(dec.reflectors, big)
+    assert np.array_equal(dec.eigenvalues, w)
+    assert np.array_equal(dec.eigenvectors, v)
+
+
+@tridiagonal
+def test_overwrite_copies_a_read_only_input():
+    a = random_symmetric(np.random.default_rng(6), TRIDIAGONAL_MIN_DIM)
+    before = a.copy()
+    a.flags.writeable = False
+    dec = eigendecompose(a, overwrite_a=True)
+    assert a.tobytes() == before.tobytes()
+    assert np.array_equal(dec.eigenvalues, np.linalg.eigh(before)[0])
+
+
+def _moment_state(d, seed):
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((d, d // 2))
+    m2 = g @ g.T / d
+    return MomentState(m1=rng.standard_normal(d) * 0.1, m2=(m2 + m2.T) / 2.0, step=3)
+
+
+@tridiagonal
+def test_covariance_build_peaks_below_four_matrices():
+    # the covariance, z and dstedc's workspace are live together; a copy of
+    # the covariance for dsytrd would be a fourth d x d array
+    d = 128
+    state = _moment_state(d, 7)
+    spec = MetricSpec("full", "covariance", 0.4)
+    build_inverse_metric(state, spec)  # binds LAPACK and sizes its workspace
+    tracemalloc.start()
+    try:
+        build_inverse_metric(state, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * d * d * 8
+
+
+def test_second_moment_build_leaves_m2_unchanged():
+    # a second-moment metric decomposes the state's own m2, which it must copy
+    state = _moment_state(100, 8)
+    m2 = state.m2.copy()
+    op = build_inverse_metric(state, MetricSpec("full", "second_moment", 0.4))
+    assert state.m2.tobytes() == m2.tobytes()
+    assert np.array_equal(op.eigenvalues, np.linalg.eigh(m2)[0])
