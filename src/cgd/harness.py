@@ -26,8 +26,8 @@ from .metric import MetricStatistic, ModeMismatch
 from .moments import MetricShape, MomentState, covariance, ema_update
 from .optimizer import (PRESET_NAMES, CgdConfig, initial_state, normalize_preset_name,
                         preset, step)
-from .problems import (DimensionTooSmall, EmptyBatch, MultiplyProblem, RosenbrockProblem,
-                       finite_diff_grad)
+from .problems import (BatchTooLarge, DimensionTooSmall, EmptyBatch, MultiplyProblem,
+                       RosenbrockProblem, finite_diff_grad)
 
 TAU_PLOT = 20.0
 
@@ -340,7 +340,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
 
     for t in range(cfg.steps):
         bs = int(batch_seeds[t]) if stochastic else None
-        grad = problem.gradient(state.params, bs)
+        try:
+            grad = problem.gradient(state.params, bs)
+        except BatchTooLarge as exc:
+            raise ConfigError(f"batch_size: {exc}") from None
         try:
             state = step(state, grad, opt_cfg)
         except NonFiniteMatrix as exc:

@@ -11,7 +11,8 @@ for one vector x, never the eigenvector matrix V itself. LAPACK's ``dsyevd``
 (``dsytrd``), finds T = Z diag(w) Z^T (``dstedc``), then forms V = Q Z
 (``dormtr``), which is about half its time at d = 552. From
 :data:`TRIDIAGONAL_MIN_DIM` on, :func:`eigendecompose` runs the first two
-stages itself, through the ILP64 OpenBLAS that numpy bundles, and
+stages itself, through the ILP64 OpenBLAS that numpy bundles, in the one
+workspace ``dsyevd`` allocates for both; V is never formed, and
 :meth:`EigenDecomposition.apply` applies Q's reflectors to the one vector.
 The eigenvalues are bitwise those of ``np.linalg.eigh``; products with V
 round differently. Below that dimension, or where numpy bundles no
@@ -85,15 +86,6 @@ class EigenDecomposition(NamedTuple):
         lapack.reflect(self.reflectors, self.tau, y, b"N")
         return y
 
-    @property
-    def eigenvectors(self) -> NDArray[np.float64]:
-        """A's orthonormal eigenvectors as columns, formed on each access."""
-        if self.reflectors is None:
-            return self.z
-        v = np.array(self.z, order="F")
-        _binding().reflect(self.reflectors, self.tau, v, b"N")
-        return v
-
 
 def eigendecompose(a, *, overwrite_a: bool = False) -> EigenDecomposition:
     """Eigendecompose a square, finite, exactly symmetric matrix; eigenvalues
@@ -122,7 +114,7 @@ def eigendecompose(a, *, overwrite_a: bool = False) -> EigenDecomposition:
 
 class _Lapack:
     """``dsytrd``, ``dstedc`` and ``dormtr`` of an ILP64 LAPACK, called with
-    the lower triangle, the workspaces and the scaling ``dsyevd`` uses."""
+    the lower triangle, the one workspace and the scaling ``dsyevd`` uses."""
 
     def __init__(self, lib: ctypes.CDLL):
         # (routine, character arguments, other arguments): every argument is
@@ -133,7 +125,6 @@ class _Lapack:
             fn.argtypes = [ctypes.c_void_p] * (chars + others) + [ctypes.c_size_t] * chars
             fn.restype = None
             setattr(self, name, fn)
-        self._tridiagonal_work = {}
 
     @staticmethod
     def _check(name: str, info: ctypes.c_int64) -> None:
@@ -141,18 +132,6 @@ class _Lapack:
             raise np.linalg.LinAlgError(f"{name}: eigenvalues did not converge")
         if info.value < 0:
             raise ValueError(f"{name}: illegal value in argument {-info.value}")
-
-    def tridiagonal_work(self, n: int) -> int:
-        """``dsytrd``'s optimal workspace (n times its block size), which
-        ``dsyevd``'s own workspace always covers; queried once per n."""
-        if n not in self._tridiagonal_work:
-            query, info = np.empty(1), ctypes.c_int64(0)
-            size, ref = ctypes.c_int64(n), ctypes.byref
-            self.dsytrd(b"L", ref(size), None, ref(size), None, None, None, query.ctypes.data,
-                        ref(ctypes.c_int64(-1)), ref(info), ctypes.c_size_t(1))
-            self._check("dsytrd", info)
-            self._tridiagonal_work[n] = int(query[0])
-        return self._tridiagonal_work[n]
 
     def decompose(self, a: NDArray[np.float64], overwrite_a: bool) -> EigenDecomposition:
         n = a.shape[0]
@@ -172,15 +151,16 @@ class _Lapack:
         if scale is not None:
             reflectors *= scale
 
+        # dsyevd's workspace serves both stages; it covers dsytrd's n times
+        # its block size (32, and n >= 64 here), so dsytrd blocks as in eigh
         d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
-        work = np.empty(self.tridiagonal_work(n))
+        work = np.empty(1 + 4 * n + n * n)
         self.dsytrd(b"L", ref(size), reflectors.ctypes.data, ref(size), d.ctypes.data,
                     e.ctypes.data, tau.ctypes.data, work.ctypes.data,
                     ref(ctypes.c_int64(work.size)), ref(info), one)
         self._check("dsytrd", info)
 
         z = np.empty((n, n), order="F")
-        work = np.empty(1 + 4 * n + n * n)
         iwork = np.empty(3 + 5 * n, dtype=np.int64)
         self.dstedc(b"I", ref(size), d.ctypes.data, e.ctypes.data, z.ctypes.data, ref(size),
                     work.ctypes.data, ref(ctypes.c_int64(work.size)), iwork.ctypes.data,
@@ -190,18 +170,16 @@ class _Lapack:
             d *= 1.0 / scale
         return EigenDecomposition(d, z, reflectors, tau)
 
-    def reflect(self, reflectors, tau, c, trans: bytes) -> None:
-        """Overwrite the n x k column-major ``c`` with Q c (``trans`` b"N")
-        or Q^T c (b"T"). One column runs unblocked (work of one entry); more
-        get ``dsyevd``'s own workspace, so Q Z is bitwise its V."""
+    def reflect(self, reflectors, tau, x, trans: bytes) -> None:
+        """Overwrite the vector ``x`` with Q x (``trans`` b"N") or Q^T x (b"T"),
+        unblocked (a workspace of one entry)."""
         n = reflectors.shape[0]
-        k = 1 if c.ndim == 1 else c.shape[1]
-        size, cols, info = ctypes.c_int64(n), ctypes.c_int64(k), ctypes.c_int64(0)
-        work = np.empty(1 if k == 1 else 1 + 4 * n + n * n)
+        size, unit, info = ctypes.c_int64(n), ctypes.c_int64(1), ctypes.c_int64(0)
+        work = np.empty(1)
         ref, one = ctypes.byref, ctypes.c_size_t(1)
-        self.dormtr(b"L", b"L", trans, ref(size), ref(cols), reflectors.ctypes.data,
-                    ref(size), tau.ctypes.data, c.ctypes.data, ref(size), work.ctypes.data,
-                    ref(ctypes.c_int64(work.size)), ref(info), one, one, one)
+        self.dormtr(b"L", b"L", trans, ref(size), ref(unit), reflectors.ctypes.data, ref(size),
+                    tau.ctypes.data, x.ctypes.data, ref(size), work.ctypes.data, ref(unit),
+                    ref(info), one, one, one)
         self._check("dormtr", info)
 
 

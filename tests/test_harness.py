@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -139,6 +140,18 @@ def test_overrides_are_typed():
     assert cfg.optimizer == "adam" and cfg.seed == 7
     with pytest.raises(ConfigError, match="gamma"):
         ExperimentConfig().with_overrides({"gamma": "fast"})
+
+
+def test_csv_digest_configs_parse():
+    # tools/csv_digest.py writes each config as `key = value` lines; a renamed
+    # or removed key should fail here, not halfway through a digest listing
+    path = Path(__file__).resolve().parents[1] / "tools" / "csv_digest.py"
+    spec = importlib.util.spec_from_file_location("csv_digest", path)
+    csv_digest = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(csv_digest)
+    for config in csv_digest.CONFIGS.values():
+        parsed = ExperimentConfig.from_mapping({key: str(value) for key, value in config.items()})
+        assert {key: getattr(parsed, key) for key in config} == config
 
 
 # --- running ----------------------------------------------------------------
@@ -506,13 +519,17 @@ def test_cli_config_errors(tmp_path):
     assert cli.main(["run", "--config", ok, "--output_dir", str(tmp_path / "taken")]) == 2
 
 
-@pytest.mark.parametrize("override", [("steps", 10**15), ("steps", 10**19), ("dim", 10**15)])
+@pytest.mark.parametrize("override", [
+    ("rosenbrock", "steps", 10**15), ("rosenbrock", "steps", 10**19),
+    ("rosenbrock", "dim", 10**15),
+    ("multiply", "batch_size", 10**15), ("multiply", "batch_size", 10**20),
+])
 def test_cli_run_too_large_to_allocate_is_a_config_error(tmp_path, capsys, override):
-    # petabytes fail at once and allocate nothing; 10**19 passes numpy's
-    # size limit (ValueError rather than MemoryError)
-    key, value = override
-    cfg = write_cfg(tmp_path, f"optimizer = cgd_full\n{key} = {value}\n"
-                              f"output_dir = {tmp_path}\n")
+    # petabytes fail at once and allocate nothing; 10**19 and 10**20 pass
+    # numpy's size limit (ValueError rather than MemoryError)
+    problem, key, value = override
+    cfg = write_cfg(tmp_path, f"problem = {problem}\noptimizer = cgd_full\n"
+                              f"{key} = {value}\noutput_dir = {tmp_path}\n")
     assert cli.main(["run", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {key}: no room for") and "Traceback" not in err
