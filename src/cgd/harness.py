@@ -12,6 +12,7 @@ Config files are flat ``key = value`` text; unknown keys are hard errors.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -97,7 +98,7 @@ class ExperimentConfig:
                 raise ConfigError("dim: only valid for the rosenbrock problem")
             if self.q0 is not None:
                 raise ConfigError("q0: only valid for the rosenbrock problem")
-        dim = self.resolved_dim()
+        dim = self.build_problem().dim
         if self.q0 is not None and len(self.q0) != dim:
             raise ConfigError(f"q0: expected {dim} values, got {len(self.q0)}")
         if self.eig_track_k > dim:
@@ -112,9 +113,6 @@ class ExperimentConfig:
         opt = self.optimizer_config()
         if self.eig_track_k > 0 and opt.metric.shape is not MetricShape.FULL:
             raise ConfigError("eig_track_k: requires a full-matrix metric (cgd_full)")
-
-    def resolved_dim(self) -> int:
-        return self.build_problem().dim
 
     def build_problem(self):
         """The configured problem; an unset dim or batch_size keeps the problem's default."""
@@ -135,8 +133,8 @@ class ExperimentConfig:
         try:
             return preset(self.optimizer, context=self.problem,
                           metric_update_interval=self.metric_update_interval, **tuned)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"optimizer: {exc}") from exc
+        except ValueError as exc:  # each field check names its field first
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
@@ -160,7 +158,7 @@ class ExperimentConfig:
                     if key in mapping:
                         raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
                     mapping[key] = value.strip()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"config: cannot read {path}: {exc}") from exc
         return cls.from_mapping(mapping)
 
@@ -265,9 +263,7 @@ _M_MMAP_THRESHOLD = -3
 _TRIM_THRESHOLD_BYTES = 256 * 2**20
 _MMAP_THRESHOLD_BYTES = 32 * 2**20
 
-_heap_kept = False
-
-
+@functools.cache
 def _keep_heap_resident() -> None:
     """Stop glibc from handing the heap top back to the kernel after each step.
 
@@ -281,10 +277,6 @@ def _keep_heap_resident() -> None:
     once per process. Off glibc, or if the C library cannot be reached, this
     does nothing.
     """
-    global _heap_kept
-    if _heap_kept:
-        return
-    _heap_kept = True
     try:
         if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
             return
@@ -321,6 +313,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
         raise ConfigError(f"dim: no room for the state of {problem.dim} parameters: {exc}") \
             from None
 
+    # Rosenbrock ignores batch seeds; drawing them would load numpy.random (~6 MB of RSS)
     stochastic = cfg.problem == "multiply"
     dim = q_start.shape[0]
     keep_params = dim <= 4
@@ -361,12 +354,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
         smoothed[t] = loss if t == 0 else ema_update(smoothed[t - 1], loss, TAU_PLOT)
         if keep_params:
             params[t] = state.params
-        if k > 0:
-            if t % cfg.eig_track_interval == 0:
-                spectrum = state.spectrum if reuse_spectrum else None
-                eigs[t] = track_eigenvalues(state.moments, k, spectrum)
-            else:
-                eigs[t] = eigs[t - 1]
+        if k > 0 and t % cfg.eig_track_interval == 0:
+            spectrum = state.spectrum if reuse_spectrum else None
+            eigs[t : t + cfg.eig_track_interval] = track_eigenvalues(state.moments, k, spectrum)
 
     return RunRecord(
         config=cfg,
@@ -395,6 +385,8 @@ def make_output_dir(out_dir) -> Path:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # a NUL byte in the path
+        raise ConfigError(f"cannot create output directory {str(out)!r}: {exc}") from exc
     return out
 
 
@@ -446,22 +438,21 @@ GRADCHECK_POINTS = 20
 GRADCHECK_TOL = 1e-5
 
 
-def gradcheck(problem_name: str, n_points: int = GRADCHECK_POINTS) -> float:
+def gradcheck(problem_name: str) -> float:
     """Max relative error between analytic gradients and central differences.
 
-    Points are drawn from a fixed seed; the network problem gets a fresh
-    batch per point, with loss and gradient evaluated on the same batch, which
-    the problem draws once per point (not once per loss probe).
+    ``GRADCHECK_POINTS`` points are drawn from a fixed seed; the network
+    problem gets a fresh batch per point, with loss and gradient evaluated on
+    the same batch, which the problem draws once per point (not per probe).
     """
+    problem = ExperimentConfig(problem=problem_name).build_problem()
     rng = np.random.default_rng(0)
     if problem_name == "rosenbrock":
-        problem, h = RosenbrockProblem(), 1e-6
-        points = [rng.uniform(-2.0, 2.0, size=2) for _ in range(n_points)]
-    elif problem_name == "multiply":
-        problem, h = MultiplyProblem(), 1e-5
-        points = [0.1 * rng.standard_normal(problem.dim) for _ in range(n_points)]
+        h = 1e-6
+        points = [rng.uniform(-2.0, 2.0, size=2) for _ in range(GRADCHECK_POINTS)]
     else:
-        raise ConfigError(f"problem: expected one of {PROBLEM_NAMES}, got {problem_name!r}")
+        h = 1e-5
+        points = [0.1 * rng.standard_normal(problem.dim) for _ in range(GRADCHECK_POINTS)]
     worst = 0.0
     for point, q in enumerate(points):
         analytic = problem.gradient(q, batch_seed=point)

@@ -39,11 +39,14 @@ class MetricSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "shape", MetricShape(self.shape))
+        expected = tuple(stat.value for stat in MetricStatistic)
+        if self.statistic not in expected:
+            raise ValueError(f"statistic: expected one of {expected}, got {self.statistic!r}")
         object.__setattr__(self, "statistic", MetricStatistic(self.statistic))
         if not np.isfinite(self.power):
-            raise ValueError(f"power must be finite, got {self.power}")
+            raise ValueError(f"power: must be finite, got {self.power}")
         if not (np.isfinite(self.eps) and self.eps > 0.0):
-            raise ValueError(f"eps must be finite and > 0, got {self.eps}")
+            raise ValueError(f"eps: must be finite and > 0, got {self.eps}")
 
 
 @dataclass(frozen=True)

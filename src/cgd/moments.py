@@ -44,7 +44,7 @@ class Timescales:
         for name in ("tau1", "tau2"):
             value = getattr(self, name)
             if not np.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+                raise ValueError(f"{name}: must be finite and >= 0, got {value}")
 
 
 @dataclass(frozen=True)

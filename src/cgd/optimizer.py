@@ -48,9 +48,9 @@ class CgdConfig:
 
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValueError(f"gamma must be finite and > 0, got {self.gamma}")
+            raise ValueError(f"gamma: must be finite and > 0, got {self.gamma}")
         if self.metric_update_interval < 1:
-            raise ValueError("metric_update_interval must be >= 1")
+            raise ValueError("metric_update_interval: must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,19 @@ def step(state: OptimizerState, grad, cfg: CgdConfig) -> OptimizerState:
     )
 
 
+_PRESET_METRICS: dict[str, tuple[MetricShape, MetricStatistic]] = {
+    "sgd": (MetricShape.DIAGONAL, MetricStatistic.SECOND_MOMENT),
+    "rmsprop": (MetricShape.DIAGONAL, MetricStatistic.SECOND_MOMENT),
+    "adam": (MetricShape.DIAGONAL, MetricStatistic.SECOND_MOMENT),
+    "adabelief": (MetricShape.DIAGONAL, MetricStatistic.COVARIANCE),
+    "cgd_diagonal": (MetricShape.DIAGONAL, MetricStatistic.COVARIANCE),
+    "cgd_full": (MetricShape.FULL, MetricStatistic.COVARIANCE),
+}
+
+PRESET_NAMES = tuple(_PRESET_METRICS)
+
 # (gamma, tau1, tau2, power) tuned per benchmark; SGD has no second-moment
 # dependence so its tau2 is set to 0.
-PRESET_NAMES = ("sgd", "rmsprop", "adam", "adabelief", "cgd_diagonal", "cgd_full")
-
 HYPERPARAMETERS: dict[str, dict[str, tuple[float, float, float, float]]] = {
     "rosenbrock": {
         "sgd": (0.0024, 0.0, 0.0, 0.0),
@@ -127,15 +136,6 @@ HYPERPARAMETERS: dict[str, dict[str, tuple[float, float, float, float]]] = {
         "cgd_diagonal": (0.069, 12.9, 12.3, 0.37),
         "cgd_full": (0.0512, 17.1, 15.3, 0.40),
     },
-}
-
-_PRESET_METRICS: dict[str, tuple[MetricShape, MetricStatistic]] = {
-    "sgd": (MetricShape.DIAGONAL, MetricStatistic.SECOND_MOMENT),
-    "rmsprop": (MetricShape.DIAGONAL, MetricStatistic.SECOND_MOMENT),
-    "adam": (MetricShape.DIAGONAL, MetricStatistic.SECOND_MOMENT),
-    "adabelief": (MetricShape.DIAGONAL, MetricStatistic.COVARIANCE),
-    "cgd_diagonal": (MetricShape.DIAGONAL, MetricStatistic.COVARIANCE),
-    "cgd_full": (MetricShape.FULL, MetricStatistic.COVARIANCE),
 }
 
 
@@ -165,8 +165,9 @@ def preset(
     ``context`` selects the benchmark whose tuned hyperparameters back the
     defaults ("rosenbrock" or "multiply"); any of gamma/tau1/tau2/power may
     be overridden individually. ``statistic`` swaps the second-moment source
-    (raw vs centered) without changing anything else — the classical presets
-    pin it, but the two CGD presets accept either.
+    (raw vs centered) without changing anything else; every preset accepts
+    either, and left as None it is the preset's own (raw for sgd, rmsprop and
+    adam, centered for the rest).
     """
     key = normalize_preset_name(name)
     if context not in HYPERPARAMETERS:
@@ -174,11 +175,9 @@ def preset(
                             f"{tuple(HYPERPARAMETERS)}")
     g0, t1, t2, a0 = HYPERPARAMETERS[context][key]
     shape, stat = _PRESET_METRICS[key]
-    if statistic is not None:
-        stat = MetricStatistic(statistic)
     spec = MetricSpec(
         shape=shape,
-        statistic=stat,
+        statistic=stat if statistic is None else statistic,
         power=a0 if power is None else power,
         eps=eps,
     )

@@ -38,10 +38,10 @@ def test_defaults_are_valid():
     cfg = ExperimentConfig()
     assert cfg.problem == "rosenbrock"
     assert cfg.steps == 5000
-    assert cfg.resolved_dim() == 2 == RosenbrockProblem().dim
+    assert cfg.build_problem().dim == 2 == RosenbrockProblem().dim
     assert ExperimentConfig(dim=7).build_problem().dim == 7
     multiply = ExperimentConfig(problem="multiply")
-    assert multiply.resolved_dim() == MultiplyProblem().dim
+    assert multiply.build_problem().dim == MultiplyProblem().dim
     assert multiply.build_problem().batch_size == MultiplyProblem().batch_size
 
 
@@ -59,11 +59,17 @@ def test_field_validation_messages():
         ExperimentConfig(steps=0)
     with pytest.raises(ConfigError, match="seed"):
         ExperimentConfig(problem="multiply", seed=-1)
-    with pytest.raises(ConfigError, match="gamma"):
+    with pytest.raises(ConfigError, match="^gamma: "):
         ExperimentConfig(gamma=float("inf"))
-    with pytest.raises(ConfigError, match="eps"):
+    with pytest.raises(ConfigError, match="^statistic: "):
+        ExperimentConfig(statistic="bogus")
+    with pytest.raises(ConfigError, match="^eps: "):
         ExperimentConfig(optimizer="cgd_full", eps=float("inf"))
-    with pytest.raises(ConfigError, match="metric_update_interval"):
+    with pytest.raises(ConfigError, match="^tau1: "):
+        ExperimentConfig(tau1=-1.0)
+    with pytest.raises(ConfigError, match="^power: "):
+        ExperimentConfig(power=float("nan"))
+    with pytest.raises(ConfigError, match="^metric_update_interval: "):
         ExperimentConfig(metric_update_interval=0)
     with pytest.raises(ConfigError, match="batch_size"):
         ExperimentConfig(problem="rosenbrock", batch_size=10)
@@ -260,18 +266,25 @@ def test_full_metric_steps_do_not_refault_the_heap():
     assert faults_per_step < 200, faults_per_step
 
 
-def test_heap_setting_is_made_once(monkeypatch):
+@pytest.fixture
+def fresh_heap_setting():
+    # the setting is made once per process; later tests get it made for real
+    harness._keep_heap_resident.cache_clear()
+    yield
+    harness._keep_heap_resident.cache_clear()
+
+
+def test_heap_setting_is_made_once(monkeypatch, fresh_heap_setting):
     calls = []
     real_confstr = os.confstr
     monkeypatch.setattr(os, "confstr", lambda name: calls.append(name) or real_confstr(name))
-    monkeypatch.setattr(harness, "_heap_kept", False)
     harness._keep_heap_resident()
     harness._keep_heap_resident()
     assert calls == ["CS_GNU_LIBC_VERSION"]
 
 
 @pytest.mark.parametrize("error", [ValueError, OSError, AttributeError])
-def test_heap_setting_is_a_no_op_off_glibc(monkeypatch, error):
+def test_heap_setting_is_a_no_op_off_glibc(monkeypatch, fresh_heap_setting, error):
     import ctypes
 
     def no_glibc(name):
@@ -282,9 +295,8 @@ def test_heap_setting_is_a_no_op_off_glibc(monkeypatch, error):
 
     monkeypatch.setattr(os, "confstr", no_glibc)
     monkeypatch.setattr(ctypes, "CDLL", no_cdll)
-    monkeypatch.setattr(harness, "_heap_kept", False)
     record = run_experiment(ExperimentConfig(optimizer="cgd_full", steps=3))
-    assert harness._heap_kept
+    assert harness._keep_heap_resident.cache_info().currsize == 1
     assert record.losses.shape == (3,)
 
 
@@ -471,7 +483,7 @@ def test_gradcheck_rejects_unknown_problem():
 
 
 def test_gradcheck_rosenbrock_small():
-    assert gradcheck("rosenbrock", n_points=3) < 1e-7
+    assert gradcheck("rosenbrock") < 1e-7
 
 
 # --- CLI ----------------------------------------------------------------------
@@ -496,7 +508,7 @@ def test_cli_run_and_override(tmp_path):
     assert len(out2.read_text().strip().split("\n")) == 3
 
 
-def test_cli_config_errors(tmp_path):
+def test_cli_config_errors(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "nope.cfg")]) == 2
     bad = write_cfg(tmp_path, "stepz = 4\n")
     assert cli.main(["run", "--config", bad]) == 2
@@ -517,6 +529,15 @@ def test_cli_config_errors(tmp_path):
     # a CSV path taken by a directory cannot be written
     (tmp_path / "taken" / "rosenbrock_cgd_diagonal_seed0.csv").mkdir(parents=True)
     assert cli.main(["run", "--config", ok, "--output_dir", str(tmp_path / "taken")]) == 2
+    # a byte that is not UTF-8, and a NUL byte in the output directory
+    undecodable = tmp_path / "undecodable.cfg"
+    undecodable.write_bytes(b"steps = 4\n\xff\n")
+    capsys.readouterr()
+    assert cli.main(["run", "--config", str(undecodable)]) == 2
+    assert capsys.readouterr().err.startswith("config error: config: cannot read")
+    nul = write_cfg(tmp_path, "steps = 4\noutput_dir = out\x00dir\n")
+    assert cli.main(["run", "--config", nul]) == 2
+    assert capsys.readouterr().err.startswith("config error: cannot create output directory")
 
 
 @pytest.mark.parametrize("override", [
@@ -640,6 +661,8 @@ _KNOWN_FIELDS = sorted({f.name for f in fields(ExperimentConfig)} - {"steps", "o
 # config-file text: no line breaks or other control characters, no comment mark
 _JUNK = st.text(st.characters(blacklist_categories=("Cs", "Cc"), blacklist_characters="#"),
                 max_size=12)
+# any text: NUL, line breaks and other control characters included
+_RAW = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 # repr gives "nan", "inf" and "-inf" for the non-finite values
 _FLOAT = (st.floats(0.0, 1.0) | st.floats()).map(repr)
 
@@ -659,7 +682,7 @@ def _value(key):
     else:
         typed = _FLOAT
     # mostly well-typed values, so that many files pass validation and run
-    return st.one_of(typed, typed, typed, _JUNK)
+    return st.one_of(typed, typed, typed, _JUNK | _RAW)
 
 
 @st.composite
@@ -675,12 +698,20 @@ def _configs(draw):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @settings(max_examples=200, deadline=None)
-@given(mapping=_configs(), where=st.sampled_from(["out", "a/b", "blocker/out", "blocker"]))
+@given(mapping=_configs(),
+       # no "/" after "out", so every output directory stays inside the temporary one
+       where=(st.sampled_from(["out", "a/b", "blocker/out", "blocker"])
+              | st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="/"),
+                        max_size=4).map("out{}".format)),
+       # a byte that no UTF-8 text holds, spliced in at an offset into the file
+       invalid=st.none() | st.tuples(st.integers(0, 200), st.sampled_from([0x80, 0xC0, 0xFF])))
 @example(mapping={"steps": "2", "problem": "multiply", "optimizer": "adam", "seed": "-1"},
-         where="out")
-@example(mapping={"steps": "2"}, where="blocker/out")
-@example(mapping={"steps": "2", "gamma": "inf"}, where="out")
-def test_cli_run_exit_codes_under_fuzzed_configs(mapping, where):
+         where="out", invalid=None)
+@example(mapping={"steps": "2"}, where="blocker/out", invalid=None)
+@example(mapping={"steps": "2", "gamma": "inf"}, where="out", invalid=None)
+@example(mapping={"steps": "2"}, where="out\x00dir", invalid=None)
+@example(mapping={"steps": "2"}, where="out", invalid=(0, 0xFF))
+def test_cli_run_exit_codes_under_fuzzed_configs(mapping, where, invalid):
     # every config file either runs (0), is refused (2) or fails numerically
     # (3); none may end in a traceback. "blocker" is a regular file.
     with tempfile.TemporaryDirectory() as tmp:
@@ -688,6 +719,10 @@ def test_cli_run_exit_codes_under_fuzzed_configs(mapping, where):
         (base / "blocker").write_text("")
         lines = [f"{key} = {value}" for key, value in mapping.items()]
         lines.append(f"output_dir = {base / where}")
+        data = ("\n".join(lines) + "\n").encode("utf-8")
+        if invalid is not None:
+            offset, byte = invalid
+            data = data[:offset] + bytes([byte]) + data[offset:]
         cfg = base / "run.cfg"
-        cfg.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        cfg.write_bytes(data)
         assert cli.main(["run", "--config", str(cfg)]) in (0, 2, 3)
