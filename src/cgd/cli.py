@@ -4,9 +4,10 @@ Exit codes (the README's table):
 
 - 0: success.
 - 2: bad configuration: a bad key or value, an unreadable or non-UTF-8 config
-  file, a negative seed, a non-finite ``gamma`` or ``eps``, a ``steps``,
-  ``dim`` or ``batch_size`` too large to allocate, or an output directory
-  (a NUL byte in ``output_dir`` included) or CSV that cannot be written.
+  file or a NUL byte in its path, a negative seed, a non-finite ``gamma`` or
+  ``eps``, a ``steps``, ``dim`` or ``batch_size`` too large to allocate, or an
+  output directory (a NUL byte in ``output_dir`` included) or CSV that cannot
+  be written.
 - 3: numerical failure: a non-finite loss or full-metric statistic mid-run,
   an eigensolver that does not converge, or a gradient check exceeding
   tolerance.

@@ -13,6 +13,7 @@ Config files are flat ``key = value`` text; unknown keys are hard errors.
 from __future__ import annotations
 
 import functools
+import io
 import math
 import os
 from dataclasses import dataclass, replace
@@ -22,9 +23,8 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 from numpy.typing import NDArray
 
-from .linalg import NonFiniteMatrix, eigendecompose
-from .metric import MetricStatistic, ModeMismatch
-from .moments import MetricShape, MomentState, covariance, ema_update
+from .linalg import NonFiniteMatrix
+from .moments import MetricShape, ema_update
 from .optimizer import (PRESET_NAMES, CgdConfig, initial_state, normalize_preset_name,
                         preset, step)
 from .problems import (BatchTooLarge, DimensionTooSmall, EmptyBatch, MultiplyProblem,
@@ -142,24 +142,28 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
-        mapping: dict[str, str] = {}
+        # decoded in one piece, so a non-UTF-8 byte is reported at its file
+        # offset; a NUL byte in the path is a ValueError from open()
         try:
-            with open(path, encoding="utf-8") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    text = line.split("#", 1)[0].strip()
-                    if not text:
-                        continue
-                    if "=" not in text:
-                        raise ConfigError(
-                            f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}"
-                        )
-                    key, value = text.split("=", 1)
-                    key = key.strip()
-                    if key in mapping:
-                        raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-                    mapping[key] = value.strip()
-        except (OSError, UnicodeDecodeError) as exc:
+            with open(path, "rb") as fh:
+                contents = fh.read().decode("utf-8")
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"config: cannot read {path}: {exc}") from exc
+        mapping: dict[str, str] = {}
+        # universal newlines: \n, \r\n and \r each end a line
+        for lineno, line in enumerate(io.StringIO(contents, newline=None), start=1):
+            text = line.split("#", 1)[0].strip()
+            if not text:
+                continue
+            if "=" not in text:
+                raise ConfigError(
+                    f"{path}:{lineno}: expected 'key = value', got {line.strip()!r}"
+                )
+            key, value = text.split("=", 1)
+            key = key.strip()
+            if key in mapping:
+                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+            mapping[key] = value.strip()
         return cls.from_mapping(mapping)
 
     def with_overrides(self, overrides: dict) -> "ExperimentConfig":
@@ -211,8 +215,8 @@ class RunRecord:
 
     ``params`` is populated only for low-dimensional problems (d <= 4), where
     plotting the raw trajectory is meaningful. ``eigenvalues`` holds the
-    tracked top-k covariance spectrum per row (descending), carried forward
-    between tracking steps; None when tracking is off.
+    tracked top-k spectrum of the metric statistic per row (descending),
+    carried forward between tracking steps; None when tracking is off.
     """
 
     config: ExperimentConfig
@@ -224,27 +228,17 @@ class RunRecord:
     final_params: NDArray[np.float64]
 
 
-def track_eigenvalues(
-    moments: MomentState, k: int, spectrum: NDArray[np.float64] | None = None
-) -> NDArray[np.float64]:
-    """Top-k eigenvalues of the clamped gradient covariance, descending.
+def track_eigenvalues(spectrum: NDArray[np.float64], k: int) -> NDArray[np.float64]:
+    """Top-k eigenvalues of a spectrum clamped at zero, descending.
 
-    ``spectrum`` is the raw ascending spectrum of ``covariance(moments)``
-    when the caller already has it (a full covariance metric built from these
-    moments); without it the covariance is decomposed here.
+    ``spectrum`` is the raw ascending spectrum a step carries in
+    ``OptimizerState.spectrum``: that of the statistic behind the full-metric
+    operator the step applied (the covariance or the second moment, as the
+    metric is configured; between refreshes, the cached operator's).
     """
-    if moments.mode is not MetricShape.FULL:
-        raise ModeMismatch("eigenvalue tracking needs full-matrix moments")
-    if not 1 <= k <= moments.dim:
-        raise ValueError(f"k must be in [1, {moments.dim}], got {k}")
-    if spectrum is None:
-        spectrum = eigendecompose(covariance(moments), overwrite_a=True).eigenvalues
-    elif spectrum.shape != (moments.dim,):
-        raise ValueError(
-            f"spectrum shape {spectrum.shape} does not match dimension {moments.dim}"
-        )
-    clamped = np.maximum(spectrum, 0.0)
-    return clamped[::-1][:k]
+    if not 1 <= k <= spectrum.shape[0]:
+        raise ValueError(f"k must be in [1, {spectrum.shape[0]}], got {k}")
+    return np.maximum(spectrum, 0.0)[::-1][:k]
 
 
 def batch_seed_sequence(seed: int, steps: int) -> NDArray[np.int64]:
@@ -318,9 +312,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     dim = q_start.shape[0]
     keep_params = dim <= 4
     k = cfg.eig_track_k
-    # the metric's own spectrum is the tracked one only when it decomposed
-    # the covariance; a second-moment metric's spectrum is of m2
-    reuse_spectrum = opt_cfg.metric.statistic is MetricStatistic.COVARIANCE
 
     try:
         batch_seeds = batch_seed_sequence(cfg.seed, cfg.steps) if stochastic else None
@@ -355,8 +346,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
         if keep_params:
             params[t] = state.params
         if k > 0 and t % cfg.eig_track_interval == 0:
-            spectrum = state.spectrum if reuse_spectrum else None
-            eigs[t : t + cfg.eig_track_interval] = track_eigenvalues(state.moments, k, spectrum)
+            eigs[t : t + cfg.eig_track_interval] = track_eigenvalues(state.spectrum, k)
 
     return RunRecord(
         config=cfg,
@@ -408,6 +398,8 @@ def write_csv(record: RunRecord, path) -> None:
                 fh.write(",".join(cells) + "\n")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # a NUL byte in the path
+        raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
 
 
 def compare_suite(suite: str, out_dir, **settings) -> dict[str, RunRecord]:

@@ -59,10 +59,9 @@ class OptimizerState:
 
     ``precond`` carries the cached inverse-metric operator between steps when
     a refresh interval > 1 is configured; it is None otherwise. ``spectrum``
-    is the raw ascending spectrum of the full-metric statistic when the step
-    that produced this state built its operator, so a caller can read it
-    without a second eigendecomposition; it is None after a step that reused
-    a cached operator, and for a diagonal metric.
+    is the raw ascending spectrum of the statistic behind the full-metric
+    operator that the step which produced this state applied: the one it
+    built, or the cached one it reused. It is None for a diagonal metric.
     """
 
     params: np.ndarray
@@ -92,9 +91,6 @@ def step(state: OptimizerState, grad, cfg: CgdConfig) -> OptimizerState:
     operator = state.precond
     if operator is None or (moments.step - 1) % interval == 0:
         operator = build_inverse_metric(moments, cfg.metric)
-        spectrum = operator.eigenvalues
-    else:
-        spectrum = None
     cached = operator if interval > 1 and cfg.metric.shape is MetricShape.FULL else None
 
     direction = operator.apply(moments.m1)
@@ -102,7 +98,7 @@ def step(state: OptimizerState, grad, cfg: CgdConfig) -> OptimizerState:
         params=state.params - cfg.gamma * direction,
         moments=moments,
         precond=cached,
-        spectrum=spectrum,
+        spectrum=operator.eigenvalues,
     )
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cgd
-from cgd import cli, harness, linalg
+from cgd import cli, harness, linalg, metric
 from cgd.harness import (
     ConfigError,
     ExperimentConfig,
@@ -26,8 +26,9 @@ from cgd.harness import (
     track_eigenvalues,
     write_csv,
 )
-from cgd.metric import ModeMismatch
+from cgd.metric import MetricSpec, build_inverse_metric
 from cgd.moments import MetricShape, MomentState, Timescales, covariance, update_moments
+from cgd.optimizer import step
 from cgd.problems import MultiplyProblem, RosenbrockProblem, rosenbrock_grad, rosenbrock_loss
 
 
@@ -128,6 +129,11 @@ def test_config_file_errors(tmp_path):
     badpreset.write_text("optimizer = adamw\n")
     with pytest.raises(ConfigError, match="optimizer"):
         ExperimentConfig.from_file(str(badpreset))
+    # a byte that is not UTF-8 past the first 8 KiB is reported at its file offset
+    late = tmp_path / "late.cfg"
+    late.write_bytes(b"#" + b"x" * 9000 + b"\nsteps = 4\n\xff\n")
+    with pytest.raises(ConfigError, match=r"^config: cannot read .*position 9012:"):
+        ExperimentConfig.from_file(str(late))
 
 
 def test_optimizer_name_is_canonical_from_every_entry_point():
@@ -303,46 +309,37 @@ def test_heap_setting_is_a_no_op_off_glibc(monkeypatch, fresh_heap_setting, erro
 # --- eigenvalue tracking ----------------------------------------------------
 
 
+def _full_spectrum(moments):
+    """The raw spectrum a full covariance metric built from ``moments`` carries."""
+    spec = MetricSpec(MetricShape.FULL, "covariance", power=0.5)
+    return build_inverse_metric(moments, spec).eigenvalues
+
+
 def test_track_eigenvalues_fresh_state_is_identity():
     st = MomentState.initial(5, MetricShape.FULL)
-    assert np.array_equal(track_eigenvalues(st, 3), np.ones(3))
+    assert np.array_equal(track_eigenvalues(_full_spectrum(st), 3), np.ones(3))
 
 
 def test_track_eigenvalues_zero_variance_limit():
     g = np.array([1.5, -2.0, 0.5])
     st = update_moments(MomentState.initial(3, MetricShape.FULL), g, Timescales(0.0, 0.0))
-    assert np.array_equal(track_eigenvalues(st, 3), np.zeros(3))
+    assert np.array_equal(track_eigenvalues(_full_spectrum(st), 3), np.zeros(3))
 
 
 def test_track_eigenvalues_rank_one():
     v = np.array([1.0, 2.0, -2.0])
     st = MomentState(m1=np.zeros(3), m2=np.outer(v, v), step=1)
-    eigs = track_eigenvalues(st, 3)
+    eigs = track_eigenvalues(_full_spectrum(st), 3)
     assert abs(eigs[0] - 9.0) < 1e-12  # ||v||^2
     assert np.all(np.abs(eigs[1:]) < 1e-12)
     assert np.all(np.diff(eigs) <= 1e-12)  # descending
 
 
-def test_track_eigenvalues_leaves_the_moments_unchanged():
-    # on the tridiagonal path the fresh covariance is reduced in place
-    rng = np.random.default_rng(4)
-    d = linalg.TRIDIAGONAL_MIN_DIM + 6
-    g = rng.standard_normal((d, 5))
-    st = MomentState(m1=rng.standard_normal(d), m2=g @ g.T, step=1)
-    before = (st.m1.copy(), st.m2.copy())
-    eigs = track_eigenvalues(st, 4)
-    assert all(a.tobytes() == b.tobytes() for a, b in zip(before, (st.m1, st.m2)))
-    w = np.linalg.eigh(st.m2 - np.outer(st.m1, st.m1))[0]
-    assert np.array_equal(eigs, np.maximum(w, 0.0)[::-1][:4])
-
-
 def test_track_eigenvalues_errors():
-    with pytest.raises(ModeMismatch):
-        track_eigenvalues(MomentState.initial(3), 2)
-    with pytest.raises(ValueError):
-        track_eigenvalues(MomentState.initial(3, MetricShape.FULL), 0)
-    with pytest.raises(ValueError):
-        track_eigenvalues(MomentState.initial(3, MetricShape.FULL), 4)
+    with pytest.raises(ValueError, match="k must be in"):
+        track_eigenvalues(np.ones(3), 0)
+    with pytest.raises(ValueError, match="k must be in"):
+        track_eigenvalues(np.ones(3), 4)
 
 
 def test_eigenvalues_carried_between_tracking_steps():
@@ -357,47 +354,61 @@ def test_eigenvalues_carried_between_tracking_steps():
         assert np.array_equal(rec.eigenvalues[t], rec.eigenvalues[10])
 
 
-def _checked_tracking(monkeypatch):
-    """Replace the run's eigenvalue tracker with one that also decomposes
-    the covariance afresh and requires the same bits; returns the list of
-    spectra the run passed in (None where it passed none)."""
-    passed = []
+def _counted(monkeypatch, fn):
+    """Count the calls to ``fn`` under every name a loaded cgd module binds it to."""
+    calls = []
 
-    def checked(moments, k, spectrum=None):
-        got = track_eigenvalues(moments, k, spectrum)
-        assert np.array_equal(got, track_eigenvalues(moments, k))
-        passed.append(spectrum)
-        return got
+    def counted(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
 
-    monkeypatch.setattr(harness, "track_eigenvalues", checked)
-    return passed
+    for name, module in list(sys.modules.items()):
+        if name == "cgd" or name.startswith("cgd."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 @pytest.mark.parametrize("interval", [1, 3])
 def test_tracking_reuses_the_step_spectrum_bitwise(monkeypatch, interval):
-    passed = _checked_tracking(monkeypatch)
-    run_experiment(ExperimentConfig(problem="multiply", optimizer="cgd_full", steps=7,
-                                    eig_track_k=10, eig_track_interval=1,
-                                    metric_update_interval=interval))
-    reused = [spectrum is not None for spectrum in passed]
-    # at interval 3 the operator is built at steps 1, 4 and 7; the tracked
-    # steps between them decompose the covariance afresh
-    assert reused == ([True] * 7 if interval == 1 else [True, False, False] * 2 + [True])
+    spectra = []
+
+    def recorded(state, grad, cfg):
+        state = step(state, grad, cfg)
+        spectra.append(state.spectrum)
+        return state
+
+    monkeypatch.setattr(harness, "step", recorded)
+    builds = _counted(monkeypatch, metric.build_inverse_metric)
+    decompositions = _counted(monkeypatch, linalg.eigendecompose)
+    rec = run_experiment(ExperimentConfig(problem="multiply", optimizer="cgd_full", steps=7,
+                                          eig_track_k=10, eig_track_interval=1,
+                                          metric_update_interval=interval))
+    # tracking decomposes nothing of its own; at interval 3 the operator is
+    # built at steps 1, 4 and 7 and cached in between ...
+    assert len(builds) == (7 if interval == 1 else 3)
+    assert len(decompositions) == len(builds)
+    if interval == 3:
+        assert spectra[0] is spectra[1] is spectra[2] is not spectra[3]
+    # ... and every row is the clamped top of the spectrum the step applied
+    assert len(spectra) == rec.eigenvalues.shape[0] == 7
+    for row, spectrum in zip(rec.eigenvalues, spectra):
+        assert np.array_equal(row, np.maximum(spectrum, 0.0)[::-1][:10])
 
 
-def test_second_moment_metric_tracks_covariance_eigenvalues(monkeypatch):
-    passed = _checked_tracking(monkeypatch)
+def test_second_moment_metric_tracks_m2_eigenvalues():
     rec = run_experiment(ExperimentConfig(optimizer="cgd_full", statistic="second_moment",
                                           steps=1, eig_track_k=2))
-    assert passed == [None]
     # after one step from (0, 0.5) the first moment is far from zero, so the
-    # covariance and the raw second moment have different spectra
+    # raw second moment the metric decomposed and the covariance have
+    # different spectra
     g = rosenbrock_grad(np.array([0.0, 0.5]))
     st = update_moments(MomentState.initial(2, MetricShape.FULL), g, Timescales(10.9, 9.46))
+    m2_top = np.maximum(np.linalg.eigh(st.m2)[0], 0.0)[::-1]
     cov_top = np.maximum(np.linalg.eigvalsh(covariance(st)), 0.0)[::-1]
-    m2_top = np.linalg.eigvalsh(st.m2)[::-1]
-    assert np.allclose(rec.eigenvalues[0], cov_top, rtol=1e-12)
-    assert not np.allclose(rec.eigenvalues[0], m2_top, rtol=1e-3)
+    assert np.array_equal(rec.eigenvalues[0], m2_top)
+    assert not np.allclose(rec.eigenvalues[0], cov_top, rtol=1e-3)
 
 
 # --- CSV --------------------------------------------------------------------
@@ -431,6 +442,12 @@ def test_csv_roundtrips_floats_exactly(tmp_path):
     q0 = np.array([float(r[3]) for r in rows])
     assert np.array_equal(losses, rec.losses)
     assert np.array_equal(q0, rec.params[:, 0])
+
+
+def test_write_csv_refuses_a_nul_byte_in_the_path(tmp_path):
+    rec = run_experiment(ExperimentConfig(optimizer="adam", steps=1))
+    with pytest.raises(ConfigError, match="^cannot write .*embedded null byte"):
+        write_csv(rec, str(tmp_path / "a\x00b.csv"))
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -538,6 +555,9 @@ def test_cli_config_errors(tmp_path, capsys):
     nul = write_cfg(tmp_path, "steps = 4\noutput_dir = out\x00dir\n")
     assert cli.main(["run", "--config", nul]) == 2
     assert capsys.readouterr().err.startswith("config error: cannot create output directory")
+    # a NUL byte in the config path
+    assert cli.main(["run", "--config", str(tmp_path / "a\x00b.cfg")]) == 2
+    assert capsys.readouterr().err.startswith("config error: config: cannot read")
 
 
 @pytest.mark.parametrize("override", [

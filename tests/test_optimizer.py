@@ -177,16 +177,18 @@ def test_cached_operator_on_the_tridiagonal_path_is_the_build():
             assert np.array_equal(getattr(built, field), getattr(rebuilt, field))
 
 
-def test_state_carries_the_spectrum_only_from_a_build():
+def test_state_carries_the_spectrum_of_the_applied_operator():
     cfg = preset("cgd_full", context="rosenbrock", metric_update_interval=3)
     st = initial_state(Q0, cfg)
-    for t in range(1, 8):
+    spectra = []
+    for _ in range(7):
         st = step(st, rosenbrock_gradient(st.params), cfg)
-        if t in (1, 4, 7):
-            assert st.spectrum is st.precond.eigenvalues
-            assert st.spectrum.shape == (2,)
-        else:
-            assert st.spectrum is None
+        assert st.spectrum is st.precond.eigenvalues
+        assert st.spectrum.shape == (2,)
+        spectra.append(st.spectrum)
+    # built at steps 1, 4 and 7; the steps between carry the cached operator's
+    assert spectra[0] is spectra[1] is spectra[2] is not spectra[3]
+    assert spectra[3] is spectra[4] is spectra[5] is not spectra[6]
 
     every = preset("cgd_full", context="rosenbrock")
     st = step(initial_state(Q0, every), rosenbrock_gradient(Q0), every)

@@ -13,6 +13,10 @@ the one imported. The three multiply `cgd_full` configs differ between one
 and two BLAS threads, so running both thread counts exercises the BLAS path.
 The full-metric CSVs at d >= `cgd.linalg.TRIDIAGONAL_MIN_DIM` also depend on
 whether numpy bundles scipy-openblas, which decides the eigensolver path.
+The two interval-3 configs and the second-moment one pin the tracked-spectrum
+rule: their eig columns hold the spectrum of the operator each step applied,
+which on a step between refreshes is the cached one, and under
+`statistic = second_moment` is that of m2.
 """
 
 from __future__ import annotations
