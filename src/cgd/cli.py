@@ -1,13 +1,16 @@
 """Command-line entry points: run, compare, gradcheck.
 
+``run`` and ``compare`` take trailing ``--key value`` (or ``--key=value``)
+config overrides; ``compare`` refuses the keys it sets per run.
+
 Exit codes (the README's table):
 
 - 0: success.
 - 2: bad configuration: a bad key or value, an unreadable or non-UTF-8 config
-  file or a NUL byte in its path, a negative seed, a non-finite ``gamma`` or
-  ``eps``, a ``steps``, ``dim`` or ``batch_size`` too large to allocate, or an
-  output directory (a NUL byte in ``output_dir`` included) or CSV that cannot
-  be written.
+  file or a NUL byte in its path, a negative seed, a non-finite ``gamma``,
+  ``eps`` or ``q0``, a ``steps``, ``dim`` or ``batch_size`` too large to
+  allocate (a step's arrays included), or an output directory (a NUL byte in
+  ``output_dir`` included) or CSV that cannot be written.
 - 3: numerical failure: a non-finite loss or full-metric statistic mid-run,
   an eigensolver that does not converge, or a gradient check exceeding
   tolerance.
@@ -72,11 +75,8 @@ def _cmd_run(args, extras) -> int:
     return EXIT_OK
 
 
-def _cmd_compare(args) -> int:
-    # a flag left off is absent from args, so its ExperimentConfig default applies
-    settings = {key: value for key, value in vars(args).items()
-                if key not in ("command", "suite", "out")}
-    records = compare_suite(args.suite, args.out, **settings)
+def _cmd_compare(args, extras) -> int:
+    records = compare_suite(args.suite, args.out, **_parse_override_pairs(extras))
     cfg = next(iter(records.values())).config
     width = max(len(name) for name in records)
     print(f"{args.suite} suite, {cfg.steps} steps, seed {cfg.seed}")
@@ -108,13 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="execute one configured run and write its CSV")
     run.add_argument("--config", required=True, help="flat key = value config file")
 
+    # the rest of compare's arguments are --key value overrides, as for run
     compare = sub.add_parser("compare", help="run all presets on one benchmark suite",
-                             argument_default=argparse.SUPPRESS)
+                             allow_abbrev=False)
     compare.add_argument("--suite", required=True, choices=PROBLEM_NAMES)
     compare.add_argument("--out", required=True, help="directory for per-optimizer CSVs")
-    compare.add_argument("--steps", type=int)
-    compare.add_argument("--seed", type=int)
-    compare.add_argument("--metric-update-interval", type=int)
 
     check = sub.add_parser("gradcheck", help="compare analytic gradients to finite differences")
     check.add_argument("--problem", default="all", choices=PROBLEM_NAMES + ("all",))
@@ -127,10 +125,10 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             return _cmd_run(args, extras)
+        if args.command == "compare":
+            return _cmd_compare(args, extras)
         if extras:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
-        if args.command == "compare":
-            return _cmd_compare(args)
         return _cmd_gradcheck(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -27,8 +27,8 @@ from .linalg import NonFiniteMatrix
 from .moments import MetricShape, ema_update
 from .optimizer import (PRESET_NAMES, CgdConfig, initial_state, normalize_preset_name,
                         preset, step)
-from .problems import (BatchTooLarge, DimensionTooSmall, EmptyBatch, MultiplyProblem,
-                       RosenbrockProblem, finite_diff_grad)
+from .problems import (DimensionTooSmall, EmptyBatch, MultiplyProblem, RosenbrockProblem,
+                       finite_diff_grad)
 
 TAU_PLOT = 20.0
 
@@ -101,6 +101,8 @@ class ExperimentConfig:
         dim = self.build_problem().dim
         if self.q0 is not None and len(self.q0) != dim:
             raise ConfigError(f"q0: expected {dim} values, got {len(self.q0)}")
+        if self.q0 is not None and not all(map(math.isfinite, self.q0)):
+            raise ConfigError(f"q0: must be finite, got {self.q0}")
         if self.eig_track_k > dim:
             raise ConfigError(f"eig_track_k: exceeds problem dimension {dim}")
         try:
@@ -143,10 +145,11 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
         # decoded in one piece, so a non-UTF-8 byte is reported at its file
-        # offset; a NUL byte in the path is a ValueError from open()
+        # offset (a byte-order mark included, which "utf-8-sig" would skip);
+        # a NUL byte in the path is a ValueError from open()
         try:
             with open(path, "rb") as fh:
-                contents = fh.read().decode("utf-8")
+                contents = fh.read().decode("utf-8").removeprefix("\ufeff")
         except (OSError, ValueError) as exc:
             raise ConfigError(f"config: cannot read {path}: {exc}") from exc
         mapping: dict[str, str] = {}
@@ -322,14 +325,14 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     except (MemoryError, ValueError) as exc:
         raise ConfigError(f"steps: no room for the record of {cfg.steps} steps: {exc}") from None
 
+    # the key that sizes a step's arrays: the batch on multiply, the dimension on rosenbrock
+    size_key = "batch_size" if stochastic else "dim"
     for t in range(cfg.steps):
         bs = int(batch_seeds[t]) if stochastic else None
         try:
             grad = problem.gradient(state.params, bs)
-        except BatchTooLarge as exc:
-            raise ConfigError(f"batch_size: {exc}") from None
-        try:
             state = step(state, grad, opt_cfg)
+            loss = problem.loss(state.params, bs)
         except NonFiniteMatrix as exc:
             raise NumericalError(
                 f"full-metric statistic became non-finite at step {t + 1}", step=t + 1
@@ -338,7 +341,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
             raise NumericalError(
                 f"eigendecomposition did not converge at step {t + 1}: {exc}", step=t + 1
             ) from exc
-        loss = problem.loss(state.params, bs)
+        except MemoryError as exc:
+            raise ConfigError(f"{size_key}: no room for step {t + 1}: {exc}") from None
         if not math.isfinite(loss):
             raise NumericalError(f"loss became non-finite at step {t + 1}", step=t + 1)
         losses[t] = loss
@@ -359,13 +363,19 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     )
 
 
-def csv_header(record: RunRecord) -> list[str]:
-    columns = ["step", "loss", "smoothed_loss"]
+def _value_columns(record: RunRecord) -> list[tuple[str, NDArray[np.float64]]]:
+    """The CSV's columns after ``step``, in order, each named with its values."""
+    columns = [("loss", record.losses), ("smoothed_loss", record.smoothed)]
     if record.params is not None:
-        columns += [f"q{i}" for i in range(record.params.shape[1])]
+        columns += [(f"q{i}", record.params[:, i]) for i in range(record.params.shape[1])]
     if record.eigenvalues is not None:
-        columns += [f"eig{i}" for i in range(record.eigenvalues.shape[1])]
+        columns += [(f"eig{i}", record.eigenvalues[:, i])
+                    for i in range(record.eigenvalues.shape[1])]
     return columns
+
+
+def csv_header(record: RunRecord) -> list[str]:
+    return ["step"] + [name for name, _ in _value_columns(record)]
 
 
 def make_output_dir(out_dir) -> Path:
@@ -373,10 +383,8 @@ def make_output_dir(out_dir) -> Path:
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise ConfigError(f"cannot create output directory {out}: {exc.strerror or exc}") from exc
-    except ValueError as exc:  # a NUL byte in the path
-        raise ConfigError(f"cannot create output directory {str(out)!r}: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
     return out
 
 
@@ -385,33 +393,32 @@ def write_csv(record: RunRecord, path) -> None:
 
     An unwritable path raises :class:`ConfigError`.
     """
+    table = np.column_stack([values for _, values in _value_columns(record)])
     try:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(",".join(csv_header(record)) + "\n")
-            for t in range(record.steps.shape[0]):
-                cells = [str(int(record.steps[t])), repr(float(record.losses[t])),
-                         repr(float(record.smoothed[t]))]
-                if record.params is not None:
-                    cells += [repr(float(v)) for v in record.params[t]]
-                if record.eigenvalues is not None:
-                    cells += [repr(float(v)) for v in record.eigenvalues[t]]
-                fh.write(",".join(cells) + "\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    except ValueError as exc:  # a NUL byte in the path
-        raise ConfigError(f"cannot write {str(path)!r}: {exc}") from exc
+            for step, row in zip(record.steps.tolist(), table):
+                fh.write(f"{step}," + ",".join(map(repr, row.tolist())) + "\n")
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def compare_suite(suite: str, out_dir, **settings) -> dict[str, RunRecord]:
     """Run every preset on one benchmark, writing a CSV per optimizer.
 
-    ``settings`` (``steps``, ``seed``, ``metric_update_interval``) apply to
-    every run; one not given keeps its :class:`ExperimentConfig` default. The
-    full-matrix run on the multiply suite also tracks the top-10 covariance
-    eigenvalues, matching the spectra-decay figure setup.
+    ``settings`` apply to every run and are typed like config-file values;
+    any :class:`ExperimentConfig` key is accepted except the four set here
+    per run (``problem``, ``optimizer``, ``eig_track_k``, ``output_dir``).
+    One not given keeps its default. The full-matrix run on the multiply
+    suite also tracks the top-10 covariance eigenvalues, matching the
+    spectra-decay figure setup.
     """
     if suite not in PROBLEM_NAMES:
         raise ConfigError(f"suite: expected one of {PROBLEM_NAMES}, got {suite!r}")
+    fixed = sorted(set(settings) & {"problem", "optimizer", "eig_track_k", "output_dir"})
+    if fixed:
+        raise ConfigError(f"{', '.join(fixed)}: set by compare for each run")
+    settings = _parse(settings)
     out = make_output_dir(out_dir)
     records: dict[str, RunRecord] = {}
     for name in PRESET_NAMES:

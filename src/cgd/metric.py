@@ -86,13 +86,13 @@ def build_inverse_metric(state: MomentState, spec: MetricSpec) -> InverseMetricO
         raise ModeMismatch(f"a {spec.shape.value} metric needs a {spec.shape.value}-mode state")
     centered = spec.statistic is MetricStatistic.COVARIANCE
     stat = covariance(state) if centered else state.m2
+    factorization = None
     if spec.shape is MetricShape.FULL:
         # the covariance was built for this call alone; m2 belongs to the state
         factorization = linalg.eigendecompose(stat, overwrite_a=centered)
-        weights = (np.maximum(factorization.eigenvalues, 0.0) + spec.eps) ** (-spec.power)
-        return InverseMetricOperator(weights, factorization)
+        stat = factorization.eigenvalues
     weights = (np.maximum(stat, 0.0) + spec.eps) ** (-spec.power)
-    return InverseMetricOperator(weights, None)
+    return InverseMetricOperator(weights, factorization)
 
 
 __all__ = [

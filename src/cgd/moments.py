@@ -124,10 +124,9 @@ def covariance(state: MomentState) -> np.ndarray:
     May contain negative entries (or eigenvalues) when the two timescales
     differ; consumers clamp at zero before taking fractional powers.
     """
-    if state.mode is MetricShape.FULL:
-        cov = np.outer(state.m1, state.m1)
-        return np.subtract(state.m2, cov, out=cov)
-    return state.m2 - state.m1 * state.m1
+    m1 = state.m1
+    sq = np.outer(m1, m1) if state.mode is MetricShape.FULL else m1 * m1
+    return np.subtract(state.m2, sq, out=sq)
 
 
 __all__ = [

@@ -22,10 +22,6 @@ class EmptyBatch(ValueError):
     """Requested batch size is not a positive integer."""
 
 
-class BatchTooLarge(MemoryError):
-    """Requested batch is past numpy's size limit or the machine's memory."""
-
-
 # --- Rosenbrock ---------------------------------------------------------
 
 
@@ -168,12 +164,12 @@ def sample_batch(seed: int, size: int) -> NDArray[np.float64]:
         raise EmptyBatch(f"batch size must be >= 1, got {size}")
     rng = np.random.default_rng(seed)
     # numpy refuses a size past its limit with ValueError, one past the
-    # machine's memory with MemoryError
+    # machine's memory with MemoryError; both are MemoryError here
     try:
         batch = np.empty((size, 3))
         batch[:, :2] = rng.uniform(-1.0, 1.0, size=(size, 2))
     except (MemoryError, ValueError) as exc:
-        raise BatchTooLarge(f"no room for a batch of {size} samples: {exc}") from None
+        raise MemoryError(f"no room for a batch of {size} samples: {exc}") from None
     np.multiply(batch[:, 0], batch[:, 1], out=batch[:, 2])
     return batch
 
@@ -233,7 +229,6 @@ def finite_diff_grad(problem, q, h: float, batch_seed=None) -> NDArray[np.float6
 __all__ = [
     "DimensionTooSmall",
     "EmptyBatch",
-    "BatchTooLarge",
     "rosenbrock_loss",
     "rosenbrock_grad",
     "RosenbrockProblem",

@@ -84,6 +84,10 @@ def test_field_validation_messages():
         ExperimentConfig(problem="multiply", q0=(1.0, 1.0))
     with pytest.raises(ConfigError, match="q0"):
         ExperimentConfig(q0=(1.0, 1.0, 1.0))
+    # a finite q0 whose loss overflows fails mid-run (exit 3); a non-finite one is refused
+    for q0 in ("nan, nan", "0, inf", "-inf, 0"):
+        with pytest.raises(ConfigError, match="^q0: must be finite"):
+            ExperimentConfig.from_mapping({"q0": q0})
     with pytest.raises(ConfigError, match="eig_track_k"):
         ExperimentConfig(eig_track_k=5)  # exceeds rosenbrock dimension
     with pytest.raises(ConfigError, match="full-matrix"):
@@ -95,6 +99,7 @@ def test_field_validation_messages():
 def test_config_file_parsing(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(
+        "\ufeff"  # one leading byte-order mark is skipped
         "# comment line\n"
         "problem = rosenbrock\n"
         "optimizer = cgd-full   # trailing comment\n"
@@ -133,6 +138,13 @@ def test_config_file_errors(tmp_path):
     late = tmp_path / "late.cfg"
     late.write_bytes(b"#" + b"x" * 9000 + b"\nsteps = 4\n\xff\n")
     with pytest.raises(ConfigError, match=r"^config: cannot read .*position 9012:"):
+        ExperimentConfig.from_file(str(late))
+    # a byte-order mark's 3 bytes count in that offset; a second mark is part of a key
+    late.write_bytes(b"\xef\xbb\xbfsteps = 4\n\xff\n")
+    with pytest.raises(ConfigError, match=r"^config: cannot read .*position 13:"):
+        ExperimentConfig.from_file(str(late))
+    late.write_bytes(b"\xef\xbb\xbf\xef\xbb\xbfsteps = 3\n")
+    with pytest.raises(ConfigError, match="unknown config key"):
         ExperimentConfig.from_file(str(late))
 
 
@@ -492,6 +504,15 @@ def test_compare_suite_writes_all_presets(tmp_path):
         assert (tmp_path / "cmp" / f"{name}.csv").exists()
     with pytest.raises(ConfigError):
         compare_suite("quartic", tmp_path)
+    # keys compare sets per run, unknown keys and untyped values are config errors
+    for key in ("problem", "optimizer", "eig_track_k", "output_dir"):
+        with pytest.raises(ConfigError, match=f"^{key}: set by compare"):
+            compare_suite("rosenbrock", tmp_path / "refused", **{key: "x"})
+    with pytest.raises(ConfigError, match="unknown config key"):
+        compare_suite("rosenbrock", tmp_path / "refused", stepz=3)
+    with pytest.raises(ConfigError, match="^steps: expected an integer"):
+        compare_suite("rosenbrock", tmp_path / "refused", steps="many")
+    assert not (tmp_path / "refused").exists()
 
 
 def test_gradcheck_rejects_unknown_problem():
@@ -577,6 +598,37 @@ def test_cli_run_too_large_to_allocate_is_a_config_error(tmp_path, capsys, overr
     assert not list(tmp_path.glob("*.csv"))
 
 
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 2**30, 2 * 2**30))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="caps the address space with RLIMIT_AS")
+@pytest.mark.parametrize("problem, optimizer, key, value", [
+    ("multiply", "sgd", "batch_size", 5_000_000), ("rosenbrock", "cgd_full", "dim", 9000),
+])
+def test_cli_step_too_large_to_allocate_is_a_config_error(tmp_path, problem, optimizer,
+                                                          key, value):
+    # Under a 2 GiB address-space cap the batch and the state fit, but a
+    # step's arrays do not: the network's (5000000, 23) activations (877 MiB)
+    # or the 9000 x 9000 gradient outer product (618 MiB). One BLAS thread:
+    # at two, OpenBLAS cannot allocate its own buffers on the batch case and
+    # exits 1 from inside the library ("Memory allocation still failed after
+    # 10 retries, giving up."), which no handler in cgd can reach.
+    cfg = write_cfg(tmp_path, f"problem = {problem}\noptimizer = {optimizer}\n"
+                              f"{key} = {value}\nsteps = 1\noutput_dir = {tmp_path}\n")
+    src = str(Path(cgd.__file__).resolve().parent.parent)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "cgd.cli", "run", "--config", cfg], env=env,
+                          capture_output=True, text=True, preexec_fn=_cap_address_space)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"config error: {key}: no room for step 1: ")
+    assert "Traceback" not in proc.stderr
+    assert not list(tmp_path.glob("*.csv"))
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_cli_numerical_failure(tmp_path):
     cfg = write_cfg(tmp_path, "optimizer = sgd\nsteps = 50\n"
@@ -651,6 +703,32 @@ def test_cli_compare_without_flags_runs_the_config_defaults(tmp_path, monkeypatc
     for cfg in built:
         assert (cfg.steps, cfg.seed, cfg.metric_update_interval) == (
             defaults.steps, defaults.seed, defaults.metric_update_interval)
+
+
+@pytest.mark.parametrize("spelling", ["--metric_update_interval", "--metric-update-interval"])
+def test_cli_compare_takes_the_run_override_grammar(tmp_path, monkeypatch, spelling):
+    built = []
+
+    def short_run(cfg):
+        built.append(cfg)
+        return run_experiment(replace(cfg, steps=2))
+
+    monkeypatch.setattr(harness, "run_experiment", short_run)
+    assert cli.main(["compare", "--suite", "rosenbrock", "--out", str(tmp_path), spelling, "2",
+                     "--seed=3", "--tau1", "4"]) == 0
+    assert [(cfg.metric_update_interval, cfg.seed, cfg.tau1) for cfg in built] == [(2, 3, 4.0)] * 6
+
+
+@pytest.mark.parametrize("extras, message", [
+    (["--ste", "3"], "unknown config key(s): ste"),  # no prefix matching
+    (["--optimizer", "adam"], "optimizer: set by compare for each run"),
+    (["--steps", "3", "--steps", "4"], "duplicate override --steps"),
+], ids=["abbreviation", "per-run-key", "duplicate"])
+def test_cli_compare_refuses_bad_overrides(tmp_path, capsys, extras, message):
+    out = tmp_path / "cmp"
+    assert cli.main(["compare", "--suite", "rosenbrock", "--out", str(out), *extras]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_cli_override_values_keep_their_dashes(tmp_path):
@@ -731,6 +809,7 @@ def _configs(draw):
 @example(mapping={"steps": "2", "gamma": "inf"}, where="out", invalid=None)
 @example(mapping={"steps": "2"}, where="out\x00dir", invalid=None)
 @example(mapping={"steps": "2"}, where="out", invalid=(0, 0xFF))
+@example(mapping={"\ufeffsteps": "2"}, where="out", invalid=None)  # a byte-order mark
 def test_cli_run_exit_codes_under_fuzzed_configs(mapping, where, invalid):
     # every config file either runs (0), is refused (2) or fails numerically
     # (3); none may end in a traceback. "blocker" is a regular file.

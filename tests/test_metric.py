@@ -12,6 +12,19 @@ from cgd.metric import (
 from cgd.moments import MetricShape, MomentState, Timescales, covariance, update_moments
 
 
+def random_symmetric(rng, d):
+    a = rng.standard_normal((d, d))
+    return (a + a.T) / 2.0
+
+
+def inverse_metric(m2, power, eps, shape="full"):
+    """The runtime operator (eps*I + clamp0(m2))^(-power) over a state whose
+    second moment is ``m2`` (a matrix, or a vector for a diagonal state)."""
+    m2 = np.asarray(m2, dtype=np.float64)
+    state = MomentState(m1=np.zeros(m2.shape[0]), m2=m2, step=1)
+    return build_inverse_metric(state, MetricSpec(shape, "second_moment", power, eps=eps))
+
+
 def full_state(rng, d=4, steps=12, ts=Timescales(3.0, 8.0)):
     st = MomentState.initial(d, MetricShape.FULL)
     for _ in range(steps):
@@ -68,16 +81,19 @@ def test_diagonal_clamp_then_shift():
 
 
 def test_full_metric_known_two_by_two():
-    # covariance [[0, 0.5], [0.5, 0]] has eigenvalues -0.5, 0.5; with eps=1
-    # and a=0.5 the operator has eigenvalues 1 and 1.5^-0.5
-    m2 = np.array([[1.0, 1.5], [1.5, 1.0]])
-    st = MomentState(m1=np.ones(2), m2=m2, step=3)
-    spec = MetricSpec("full", "covariance", 0.5, eps=1.0)
-    op = build_inverse_metric(st, spec)
-    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
+    # the statistic [[0, 0.5], [0.5, 0]] has eigenvalues -0.5 and 0.5; -0.5
+    # clamps to 0 before eps=1 shifts it, so with a=0.5 the operator has
+    # eigenvalues 1 and 1.5^-0.5. The statistic is reached both as the
+    # covariance of m2 = [[1, 1.5], [1.5, 1]] about m1 = (1, 1) and as a raw
+    # second moment.
+    cov_state = MomentState(m1=np.ones(2), m2=np.array([[1.0, 1.5], [1.5, 1.0]]), step=3)
+    ops = (build_inverse_metric(cov_state, MetricSpec("full", "covariance", 0.5, eps=1.0)),
+           inverse_metric([[0.0, 0.5], [0.5, 0.0]], 0.5, 1.0))
+    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)  # eigenvector of -0.5
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    assert np.allclose(op.apply(minus), minus, atol=1e-12)
-    assert np.allclose(op.apply(plus), plus / np.sqrt(1.5), atol=1e-12)
+    for op in ops:
+        assert np.allclose(op.apply(minus), minus, atol=1e-12)
+        assert np.allclose(op.apply(plus), plus / np.sqrt(1.5), atol=1e-12)
 
 
 def test_inverse_metric_is_spd():
@@ -105,10 +121,64 @@ def test_precondition_matches_dense_computation():
 
 def test_power_zero_diagonal_identity_bitwise():
     # the plain-gradient-descent corner must not perturb the force at all
-    st = MomentState(m1=np.zeros(2), m2=np.array([3.0, 0.1]), step=1)
-    spec = MetricSpec("diagonal", "second_moment", 0.0)
-    f = np.array([0.1237, -45.6789])
-    assert np.array_equal(build_inverse_metric(st, spec).apply(f), f)
+    for m2, force in (([3.0, 0.1], [0.1237, -45.6789]),
+                      ([4.0, 0.5, 7.0], [0.123456789, -9.87654321e3, 1e-12])):
+        f = np.array(force)
+        assert np.array_equal(inverse_metric(m2, 0.0, 1e-8, shape="diagonal").apply(f), f)
+
+
+def test_matrix_power_composition():
+    # the operator at power p is spd^(-p) when eps is negligible next to the
+    # spectrum, so powers -1/2, -1, 0 and 1 give a square root of spd, spd
+    # itself, the identity and its inverse
+    rng = np.random.default_rng(3)
+    a = random_symmetric(rng, 5)
+    spd = a @ a.T + 0.1 * np.eye(5)
+    spd = (spd + spd.T) / 2.0
+
+    def dense(power):
+        op = inverse_metric(spd, power, 1e-300)
+        return np.column_stack([op.apply(col) for col in np.eye(5)])
+
+    half = dense(-0.5)
+    assert np.allclose(half @ half, spd, atol=1e-8)
+    assert np.allclose(dense(-1.0), spd, atol=1e-10)
+    assert np.allclose(dense(0.0), np.eye(5), atol=1e-12)
+    assert np.allclose(dense(1.0) @ spd, np.eye(5), atol=1e-8)
+
+
+def test_apply_inverse_metric_matches_dense_power():
+    rng = np.random.default_rng(5)
+    c = random_symmetric(rng, 7)
+    f = rng.standard_normal(7)
+    eps, a = 1e-3, 0.37
+    got = inverse_metric(c, a, eps).apply(f)
+    w, v = np.linalg.eigh(c)
+    dense = (v * (np.maximum(w, 0.0) + eps) ** (-a)) @ v.T
+    assert np.allclose(got, dense @ f, atol=1e-10)
+
+
+def test_diagonal_path_matches_full_path():
+    # a diagonal spec on a diagonal-mode state skips the eigendecomposition;
+    # it must agree with the full spec on a full-mode state holding diag(m2)
+    rng = np.random.default_rng(9)
+    m2 = rng.uniform(-1.0, 4.0, size=6)
+    f = rng.standard_normal(6)
+    fast = inverse_metric(m2, 0.41, 1e-8, shape="diagonal")
+    full = inverse_metric(np.diag(m2), 0.41, 1e-8)
+    assert fast.factorization is None and full.factorization is not None
+    assert np.allclose(fast.apply(f), full.apply(f), atol=1e-12)
+
+
+def test_eps_must_be_positive():
+    with pytest.raises(ValueError):
+        MetricSpec("full", "second_moment", 0.5, eps=0.0)
+    with pytest.raises(ValueError):
+        MetricSpec("diagonal", "second_moment", 0.5, eps=-1.0)
+    # an infinite eps would zero every weight and freeze the parameters
+    for eps in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            MetricSpec("full", "second_moment", 0.5, eps=eps)
 
 
 def test_operator_keeps_the_raw_spectrum_it_decomposed():
