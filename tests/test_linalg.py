@@ -1,6 +1,6 @@
-"""The checked eigendecomposition: its spectrum and eigenvectors, the
-tridiagonal path that serves large matrices, and the copies of its input it
-makes or avoids when a metric build calls it."""
+"""The checked eigendecomposition: its spectrum and eigenvectors, the powers a
+metric build takes on it, the tridiagonal path that serves large matrices, and
+the copies of its input it makes or avoids when a metric build calls it."""
 
 import tracemalloc
 
@@ -76,6 +76,26 @@ def test_rejects_bad_input():
     with pytest.raises(NonFiniteMatrix):
         eigendecompose([[np.inf, 0.0], [0.0, 1.0]])
     assert issubclass(NonFiniteMatrix, ValueError)
+
+
+# --- the powers a metric build takes on the decomposed spectrum ---
+
+def test_clamp_happens_before_shift():
+    # eigenvalue -0.5 clamps to 0, then eps=1 shifts to 1: unit weight on
+    # that eigendirection, (1.5)^(-0.5) on the other
+    state = MomentState(m1=np.zeros(2), m2=np.array([[0.0, 0.5], [0.5, 0.0]]), step=1)
+    op = build_inverse_metric(state, MetricSpec("full", "second_moment", 0.5, eps=1.0))
+    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)  # eigenvector of -0.5
+    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
+    assert np.allclose(op.apply(minus), minus, atol=1e-12)
+    assert np.allclose(op.apply(plus), plus / np.sqrt(1.5), atol=1e-12)
+
+
+def test_power_zero_is_identity_bitwise():
+    state = MomentState(m1=np.zeros(3), m2=np.array([4.0, 0.5, 7.0]), step=1)
+    op = build_inverse_metric(state, MetricSpec("diagonal", "second_moment", 0.0, eps=1e-8))
+    f = np.array([0.123456789, -9.87654321e3, 1e-12])
+    assert np.array_equal(op.apply(f), f)
 
 
 # --- the tridiagonal path: eigh's first two LAPACK stages, reflectors kept ---

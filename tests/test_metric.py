@@ -81,19 +81,16 @@ def test_diagonal_clamp_then_shift():
 
 
 def test_full_metric_known_two_by_two():
-    # the statistic [[0, 0.5], [0.5, 0]] has eigenvalues -0.5 and 0.5; -0.5
-    # clamps to 0 before eps=1 shifts it, so with a=0.5 the operator has
-    # eigenvalues 1 and 1.5^-0.5. The statistic is reached both as the
-    # covariance of m2 = [[1, 1.5], [1.5, 1]] about m1 = (1, 1) and as a raw
-    # second moment.
-    cov_state = MomentState(m1=np.ones(2), m2=np.array([[1.0, 1.5], [1.5, 1.0]]), step=3)
-    ops = (build_inverse_metric(cov_state, MetricSpec("full", "covariance", 0.5, eps=1.0)),
-           inverse_metric([[0.0, 0.5], [0.5, 0.0]], 0.5, 1.0))
-    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)  # eigenvector of -0.5
+    # covariance [[0, 0.5], [0.5, 0]] has eigenvalues -0.5, 0.5; with eps=1
+    # and a=0.5 the operator has eigenvalues 1 and 1.5^-0.5
+    m2 = np.array([[1.0, 1.5], [1.5, 1.0]])
+    st = MomentState(m1=np.ones(2), m2=m2, step=3)
+    spec = MetricSpec("full", "covariance", 0.5, eps=1.0)
+    op = build_inverse_metric(st, spec)
+    minus = np.array([1.0, -1.0]) / np.sqrt(2.0)
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    for op in ops:
-        assert np.allclose(op.apply(minus), minus, atol=1e-12)
-        assert np.allclose(op.apply(plus), plus / np.sqrt(1.5), atol=1e-12)
+    assert np.allclose(op.apply(minus), minus, atol=1e-12)
+    assert np.allclose(op.apply(plus), plus / np.sqrt(1.5), atol=1e-12)
 
 
 def test_inverse_metric_is_spd():
@@ -121,10 +118,10 @@ def test_precondition_matches_dense_computation():
 
 def test_power_zero_diagonal_identity_bitwise():
     # the plain-gradient-descent corner must not perturb the force at all
-    for m2, force in (([3.0, 0.1], [0.1237, -45.6789]),
-                      ([4.0, 0.5, 7.0], [0.123456789, -9.87654321e3, 1e-12])):
-        f = np.array(force)
-        assert np.array_equal(inverse_metric(m2, 0.0, 1e-8, shape="diagonal").apply(f), f)
+    st = MomentState(m1=np.zeros(2), m2=np.array([3.0, 0.1]), step=1)
+    spec = MetricSpec("diagonal", "second_moment", 0.0)
+    f = np.array([0.1237, -45.6789])
+    assert np.array_equal(build_inverse_metric(st, spec).apply(f), f)
 
 
 def test_matrix_power_composition():
