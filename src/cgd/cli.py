@@ -14,6 +14,9 @@ Exit codes (the README's table):
 - 3: numerical failure: a non-finite loss or full-metric statistic mid-run,
   an eigensolver that does not converge, or a gradient check exceeding
   tolerance.
+- 1: the one known case left: at two or more BLAS threads, OpenBLAS can fail
+  its own buffer allocation for a step that does not fit ("Memory allocation
+  still failed...") and end the process before Python sees a MemoryError.
 """
 
 from __future__ import annotations

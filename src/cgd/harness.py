@@ -27,8 +27,7 @@ from .linalg import NonFiniteMatrix
 from .moments import MetricShape, ema_update
 from .optimizer import (PRESET_NAMES, CgdConfig, initial_state, normalize_preset_name,
                         preset, step)
-from .problems import (DimensionTooSmall, EmptyBatch, MultiplyProblem, RosenbrockProblem,
-                       finite_diff_grad)
+from .problems import MultiplyProblem, RosenbrockProblem, finite_diff_grad
 
 TAU_PLOT = 20.0
 
@@ -124,10 +123,8 @@ class ExperimentConfig:
             if self.batch_size is None:
                 return MultiplyProblem()
             return MultiplyProblem(self.batch_size)
-        except DimensionTooSmall as exc:
-            raise ConfigError(f"dim: {exc}") from None
-        except EmptyBatch as exc:
-            raise ConfigError(f"batch_size: {exc}") from None
+        except ValueError as exc:  # each problem check names its key first
+            raise ConfigError(str(exc)) from None
 
     def optimizer_config(self) -> CgdConfig:
         keys = ("gamma", "tau1", "tau2", "power", "eps", "statistic")
@@ -203,11 +200,10 @@ def _coerce(key: str, raw):
             expected = "an integer" if kind is int else "a number"
             raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
     if kind is tuple:
-        if isinstance(raw, (tuple, list)):
-            return tuple(float(v) for v in raw)
-        try:
-            return tuple(float(part) for part in str(raw).split(","))
-        except ValueError:
+        parts = raw if isinstance(raw, (tuple, list)) else str(raw).split(",")
+        try:  # float(None) is a TypeError
+            return tuple(float(part) for part in parts)
+        except (TypeError, ValueError):
             raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}") from None
     return str(raw).strip()
 
@@ -310,7 +306,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
         raise ConfigError(f"dim: no room for the state of {problem.dim} parameters: {exc}") \
             from None
 
-    # Rosenbrock ignores batch seeds; drawing them would load numpy.random (~6 MB of RSS)
+    # Rosenbrock takes no batch; drawing its seeds would load numpy.random (~6 MB of RSS)
     stochastic = cfg.problem == "multiply"
     dim = q_start.shape[0]
     keep_params = dim <= 4
@@ -328,11 +324,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
     # the key that sizes a step's arrays: the batch on multiply, the dimension on rosenbrock
     size_key = "batch_size" if stochastic else "dim"
     for t in range(cfg.steps):
-        bs = int(batch_seeds[t]) if stochastic else None
         try:
-            grad = problem.gradient(state.params, bs)
+            batch = problem.batch(int(batch_seeds[t])) if stochastic else None
+            grad = problem.gradient(state.params, batch)
             state = step(state, grad, opt_cfg)
-            loss = problem.loss(state.params, bs)
+            loss = problem.loss(state.params, batch)
         except NonFiniteMatrix as exc:
             raise NumericalError(
                 f"full-metric statistic became non-finite at step {t + 1}", step=t + 1
@@ -441,8 +437,8 @@ def gradcheck(problem_name: str) -> float:
     """Max relative error between analytic gradients and central differences.
 
     ``GRADCHECK_POINTS`` points are drawn from a fixed seed; the network
-    problem gets a fresh batch per point, with loss and gradient evaluated on
-    the same batch, which the problem draws once per point (not per probe).
+    problem gets a fresh batch per point, drawn once and shared by the
+    gradient and every loss probe at that point.
     """
     problem = ExperimentConfig(problem=problem_name).build_problem()
     rng = np.random.default_rng(0)
@@ -454,8 +450,9 @@ def gradcheck(problem_name: str) -> float:
         points = [0.1 * rng.standard_normal(problem.dim) for _ in range(GRADCHECK_POINTS)]
     worst = 0.0
     for point, q in enumerate(points):
-        analytic = problem.gradient(q, batch_seed=point)
-        numeric = finite_diff_grad(problem, q, h=h, batch_seed=point)
+        batch = problem.batch(point) if problem_name == "multiply" else None
+        analytic = problem.gradient(q, batch)
+        numeric = finite_diff_grad(problem, q, h=h, batch=batch)
         scale = max(float(np.max(np.abs(analytic))), 1e-300)
         worst = max(worst, float(np.max(np.abs(numeric - analytic))) / scale)
     return worst

@@ -37,8 +37,9 @@ class CgdConfig:
     """Everything a step needs: learning rate, timescales, metric spec.
 
     ``metric_update_interval`` > 1 reuses the full-metric eigendecomposition
-    for that many steps, trading fidelity for a d^3 -> d^2 amortized cost;
-    the default of 1 recomputes every step.
+    for that many steps, trading fidelity for time: only the O(d^3)
+    decomposition is amortized, while the O(d^2) moment update and operator
+    apply still run every step. The default of 1 recomputes every step.
     """
 
     gamma: float

@@ -1,15 +1,11 @@
 import numpy as np
 import pytest
 
-import cgd.problems
-from cgd.harness import ExperimentConfig, run_experiment
 from cgd.problems import (
     DEPTH,
     N_NEURONS,
     N_PARAMS,
     INPUT_NEURONS,
-    DimensionTooSmall,
-    EmptyBatch,
     MultiplyProblem,
     OUTPUT_NEURON,
     RosenbrockProblem,
@@ -46,9 +42,9 @@ def test_rosenbrock_generalizes_to_higher_dim():
 
 
 def test_rosenbrock_rejects_scalar_problems():
-    with pytest.raises(DimensionTooSmall):
+    with pytest.raises(ValueError, match="^dim: "):
         rosenbrock_loss(np.array([1.0]))
-    with pytest.raises(DimensionTooSmall):
+    with pytest.raises(ValueError, match="^dim: "):
         RosenbrockProblem(dim=1)
 
 
@@ -117,8 +113,9 @@ def test_net_gradient_against_finite_differences():
     rng = np.random.default_rng(3)
     q = 0.1 * rng.standard_normal(N_PARAMS)
     problem = MultiplyProblem(batch_size=5)
-    analytic = problem.gradient(q, batch_seed=11)
-    numeric = finite_diff_grad(problem, q, h=1e-5, batch_seed=11)
+    batch = problem.batch(11)
+    analytic = problem.gradient(q, batch)
+    numeric = finite_diff_grad(problem, q, h=1e-5, batch=batch)
     scale = np.max(np.abs(analytic))
     assert np.max(np.abs(analytic - numeric)) / scale < 1e-6
 
@@ -141,7 +138,7 @@ def test_sample_batch_contents():
     assert np.array_equal(batch[:, 2], batch[:, 0] * batch[:, 1])
     assert np.array_equal(batch, sample_batch(0, 100))
     assert not np.array_equal(batch, sample_batch(1, 100))
-    with pytest.raises(EmptyBatch):
+    with pytest.raises(ValueError, match="^batch_size: "):
         sample_batch(0, 0)
 
 
@@ -153,51 +150,22 @@ def test_multiply_problem_surface():
     assert np.all(np.abs(q) <= 0.5 / np.sqrt(N_NEURONS))
     assert np.array_equal(q, MultiplyProblem().initial_params(seed=0))
     assert not np.array_equal(q, p.initial_params(seed=1))
-    # None batch seed is pinned to seed 0 so probes are deterministic
-    assert p.loss(q) == p.loss(q, batch_seed=0)
-    assert p.loss(q) != p.loss(q, batch_seed=2)
-    with pytest.raises(EmptyBatch):
+    # a batch is the seed's draw at the problem's size; the loss is that of the rows given
+    assert np.array_equal(p.batch(2), sample_batch(2, 10))
+    assert p.loss(q, p.batch(2)) == net_loss(q, sample_batch(2, 10))
+    assert p.loss(q, p.batch(0)) != p.loss(q, p.batch(2))
+    with pytest.raises(ValueError, match="^batch_size: "):
         MultiplyProblem(batch_size=0)
 
 
 def test_multiply_gradient_descends():
     p = MultiplyProblem(batch_size=50)
     q = p.initial_params(seed=5)
-    g = p.gradient(q, batch_seed=9)
-    before = p.loss(q, batch_seed=9)
-    after = p.loss(q - 1e-3 * g / np.max(np.abs(g)), batch_seed=9)
+    batch = p.batch(9)
+    g = p.gradient(q, batch)
+    before = p.loss(q, batch)
+    after = p.loss(q - 1e-3 * g / np.max(np.abs(g)), batch)
     assert after < before
-
-
-def test_one_batch_draw_per_step(monkeypatch):
-    draws = []
-
-    def counting_sample_batch(seed, size):
-        draws.append((seed, size))
-        return sample_batch(seed, size)
-
-    monkeypatch.setattr(cgd.problems, "sample_batch", counting_sample_batch)
-    run_experiment(ExperimentConfig(problem="multiply", optimizer="adam", steps=20))
-    # gradient and post-update loss of a step share the step's batch
-    assert len(draws) == 20
-    assert len(set(draws)) == 20
-
-
-def test_cached_batch_is_a_read_only_copy_of_the_draw():
-    p = MultiplyProblem(batch_size=12)
-    batch = p._batch(3)
-    assert np.array_equal(batch, sample_batch(3, 12))
-    assert batch.flags.c_contiguous
-    with pytest.raises(ValueError):
-        batch[0, 0] = 0.0
-    assert p._batch(3) is batch
-    assert p._batch(None) is p._batch(0)
-    # a new seed, or a batch size changed on the instance, draws again
-    other = p._batch(4)
-    assert other is not batch and np.array_equal(other, sample_batch(4, 12))
-    p.batch_size = 5
-    resized = p._batch(4)
-    assert resized.shape == (5, 3) and np.array_equal(resized, sample_batch(4, 5))
 
 
 def reference_states(weights, biases, inputs):
