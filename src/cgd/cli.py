@@ -10,7 +10,8 @@ Exit codes (the README's table):
   file or a NUL byte in its path, a negative seed, a non-finite ``gamma``,
   ``eps`` or ``q0``, a ``steps``, ``dim`` or ``batch_size`` too large to
   allocate (a step's arrays included), or an output directory (a NUL byte in
-  ``output_dir`` included) or CSV that cannot be written.
+  ``output_dir`` included), CSV or stdout (a closed pipe, a full device) that
+  cannot be written.
 - 3: numerical failure: a non-finite loss or full-metric statistic mid-run,
   an eigensolver that does not converge, or a gradient check exceeding
   tolerance.
@@ -22,6 +23,7 @@ Exit codes (the README's table):
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .harness import (
@@ -65,16 +67,27 @@ def _parse_override_pairs(extras: list[str]) -> dict[str, str]:
     return overrides
 
 
+def _say(line: str) -> None:
+    """Print one line of a command's summary; a stdout that refuses it is a
+    config error, like an unwritable CSV."""
+    try:
+        print(line, flush=True)
+    except OSError as exc:
+        # the unwritten rest stays buffered; let interpreter exit flush it nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ConfigError(f"cannot write stdout: {exc}") from None
+
+
 def _cmd_run(args, extras) -> int:
     cfg = ExperimentConfig.from_file(args.config).with_overrides(_parse_override_pairs(extras))
     out_dir = make_output_dir(cfg.output_dir)
     record = run_experiment(cfg)
     path = out_dir / f"{cfg.problem}_{cfg.optimizer}_seed{cfg.seed}.csv"
     write_csv(record, path)
-    print(f"{cfg.problem} / {cfg.optimizer}: {cfg.steps} steps, "
-          f"final loss {record.losses[-1]:.6g}, "
-          f"final smoothed loss {record.smoothed[-1]:.6g}")
-    print(f"wrote {path}")
+    _say(f"{cfg.problem} / {cfg.optimizer}: {cfg.steps} steps, "
+         f"final loss {record.losses[-1]:.6g}, "
+         f"final smoothed loss {record.smoothed[-1]:.6g}")
+    _say(f"wrote {path}")
     return EXIT_OK
 
 
@@ -82,11 +95,11 @@ def _cmd_compare(args, extras) -> int:
     records = compare_suite(args.suite, args.out, **_parse_override_pairs(extras))
     cfg = next(iter(records.values())).config
     width = max(len(name) for name in records)
-    print(f"{args.suite} suite, {cfg.steps} steps, seed {cfg.seed}")
+    _say(f"{args.suite} suite, {cfg.steps} steps, seed {cfg.seed}")
     for name, record in records.items():
-        print(f"  {name:<{width}}  final loss {record.losses[-1]:>12.6g}  "
-              f"smoothed {record.smoothed[-1]:>12.6g}")
-    print(f"wrote {len(records)} CSV files to {args.out}")
+        _say(f"  {name:<{width}}  final loss {record.losses[-1]:>12.6g}  "
+             f"smoothed {record.smoothed[-1]:>12.6g}")
+    _say(f"wrote {len(records)} CSV files to {args.out}")
     return EXIT_OK
 
 
@@ -96,7 +109,7 @@ def _cmd_gradcheck(args) -> int:
     for name in names:
         err = gradcheck(name)
         status = "ok" if err <= GRADCHECK_TOL else "FAIL"
-        print(f"{name}: max relative error = {err:.3e} [{status}]")
+        _say(f"{name}: max relative error = {err:.3e} [{status}]")
         ok = ok and err <= GRADCHECK_TOL
     return EXIT_OK if ok else EXIT_NUMERICAL
 

@@ -23,7 +23,6 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 from numpy.typing import NDArray
 
-from .linalg import NonFiniteMatrix
 from .moments import MetricShape, ema_update
 from .optimizer import (PRESET_NAMES, CgdConfig, initial_state, normalize_preset_name,
                         preset, step)
@@ -104,14 +103,11 @@ class ExperimentConfig:
             raise ConfigError(f"q0: must be finite, got {self.q0}")
         if self.eig_track_k > dim:
             raise ConfigError(f"eig_track_k: exceeds problem dimension {dim}")
-        try:
-            # frozen dataclass: the canonical name replaces the one given
-            object.__setattr__(self, "optimizer", normalize_preset_name(self.optimizer))
-        except KeyError as exc:
-            raise ConfigError(f"optimizer: {exc.args[0]}") from None
-        # Resolve the preset eagerly so bad hyperparameters and incompatible
-        # eigenvalue tracking fail at config time, not mid-run.
+        # Resolve the preset eagerly so an unknown name, bad hyperparameters
+        # and incompatible eigenvalue tracking fail at config time, not mid-run.
         opt = self.optimizer_config()
+        # frozen dataclass: the canonical name replaces the one given
+        object.__setattr__(self, "optimizer", normalize_preset_name(self.optimizer))
         if self.eig_track_k > 0 and opt.metric.shape is not MetricShape.FULL:
             raise ConfigError("eig_track_k: requires a full-matrix metric (cgd_full)")
 
@@ -236,7 +232,7 @@ def track_eigenvalues(spectrum: NDArray[np.float64], k: int) -> NDArray[np.float
     metric is configured; between refreshes, the cached operator's).
     """
     if not 1 <= k <= spectrum.shape[0]:
-        raise ValueError(f"k must be in [1, {spectrum.shape[0]}], got {k}")
+        raise ValueError(f"k: must be in [1, {spectrum.shape[0]}], got {k}")
     return np.maximum(spectrum, 0.0)[::-1][:k]
 
 
@@ -329,13 +325,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
             grad = problem.gradient(state.params, batch)
             state = step(state, grad, opt_cfg)
             loss = problem.loss(state.params, batch)
-        except NonFiniteMatrix as exc:
+        except np.linalg.LinAlgError as exc:  # a non-finite or non-converging statistic
             raise NumericalError(
-                f"full-metric statistic became non-finite at step {t + 1}", step=t + 1
-            ) from exc
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"eigendecomposition did not converge at step {t + 1}: {exc}", step=t + 1
+                f"full-metric eigendecomposition failed at step {t + 1}: {exc}", step=t + 1
             ) from exc
         except MemoryError as exc:
             raise ConfigError(f"{size_key}: no room for step {t + 1}: {exc}") from None

@@ -52,10 +52,6 @@ _RMIN = math.sqrt(_SMLNUM)
 _RMAX = math.sqrt(1.0 / _SMLNUM)
 
 
-class NonFiniteMatrix(ValueError):
-    """Input matrix has an infinite or NaN entry."""
-
-
 class EigenDecomposition(NamedTuple):
     """Spectral factorization A = Q Z diag(w) Z^T Q^T of a symmetric matrix.
 
@@ -76,7 +72,7 @@ class EigenDecomposition(NamedTuple):
         z = self.z
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (z.shape[0],):
-            raise ValueError(f"expected a vector of length {z.shape[0]}, got shape {x.shape}")
+            raise ValueError(f"x: expected a vector of length {z.shape[0]}, got shape {x.shape}")
         if self.reflectors is None:
             return z @ (weights * (z.T @ x))
         lapack = _binding()
@@ -94,17 +90,17 @@ def eigendecompose(a, *, overwrite_a: bool = False) -> EigenDecomposition:
     With ``overwrite_a`` the tridiagonal path may reduce ``a`` in its own
     buffer, which the result then owns (see the module docstring).
 
-    Raises :class:`NonFiniteMatrix` on an infinite or NaN entry,
-    ``ValueError`` on a non-square or asymmetric input, and
-    ``np.linalg.LinAlgError`` if the eigensolver does not converge.
+    Raises ``np.linalg.LinAlgError`` on an infinite or NaN entry (as numpy
+    does) or if the eigensolver does not converge, and a plain ``ValueError``
+    on a non-square or asymmetric input.
     """
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+        raise ValueError(f"a: expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise NonFiniteMatrix("matrix has non-finite entries")
+        raise np.linalg.LinAlgError("matrix has non-finite entries")
     if not np.array_equal(a, a.T):
-        raise ValueError("matrix is not symmetric")
+        raise ValueError("a: matrix is not symmetric")
     lapack = _binding() if a.shape[0] >= TRIDIAGONAL_MIN_DIM else None
     if lapack is None:
         eigenvalues, eigenvectors = np.linalg.eigh(a)
@@ -195,4 +191,4 @@ def _binding() -> _Lapack | None:
         return None
 
 
-__all__ = ["NonFiniteMatrix", "EigenDecomposition", "TRIDIAGONAL_MIN_DIM", "eigendecompose"]
+__all__ = ["EigenDecomposition", "TRIDIAGONAL_MIN_DIM", "eigendecompose"]

@@ -24,10 +24,6 @@ class MetricStatistic(str, Enum):
     COVARIANCE = "covariance"
 
 
-class ModeMismatch(ValueError):
-    """Moment state storage mode incompatible with the requested metric shape."""
-
-
 @dataclass(frozen=True)
 class MetricSpec:
     """Shape, statistic, power and regularizer defining the metric."""
@@ -79,11 +75,13 @@ def build_inverse_metric(state: MomentState, spec: MetricSpec) -> InverseMetricO
     Eigenvalues (full) or entries (diagonal) are clamped at zero before eps
     is added, keeping the operator symmetric positive definite even for an
     indefinite covariance. The state must be stored in the metric's shape,
-    or :class:`ModeMismatch` is raised: a diagonal state never tracked the
-    off-diagonal entries, and a full state is not cut down to its diagonal.
+    or a ``ValueError`` names the state's mode: a diagonal state never
+    tracked the off-diagonal entries, and a full state is not cut down to
+    its diagonal.
     """
     if state.mode is not spec.shape:
-        raise ModeMismatch(f"a {spec.shape.value} metric needs a {spec.shape.value}-mode state")
+        raise ValueError(f"state: a {state.mode.value}-mode state cannot feed a "
+                         f"{spec.shape.value} metric")
     centered = spec.statistic is MetricStatistic.COVARIANCE
     stat = covariance(state) if centered else state.m2
     factorization = None
@@ -98,7 +96,6 @@ def build_inverse_metric(state: MomentState, spec: MetricSpec) -> InverseMetricO
 __all__ = [
     "MetricStatistic",
     "MetricSpec",
-    "ModeMismatch",
     "InverseMetricOperator",
     "build_inverse_metric",
 ]

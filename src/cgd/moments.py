@@ -29,10 +29,6 @@ class MetricShape(str, Enum):
 BLOCK_ROWS = 64
 
 
-class DimensionMismatch(ValueError):
-    """Gradient dimension does not match the tracked state."""
-
-
 @dataclass(frozen=True)
 class Timescales:
     """EMA memory lengths for the first and second moment, in steps."""
@@ -64,7 +60,7 @@ class MomentState:
     def initial(cls, dim: int, shape: MetricShape | str = MetricShape.DIAGONAL) -> "MomentState":
         """Fresh state: zero first moment, identity second moment."""
         if dim < 1:
-            raise ValueError("dim must be >= 1")
+            raise ValueError(f"dim: must be >= 1, got {dim}")
         m2 = np.eye(dim) if MetricShape(shape) is MetricShape.FULL else np.ones(dim)
         return cls(m1=np.zeros(dim), m2=m2, step=0)
 
@@ -84,7 +80,7 @@ def ema_update(prev, sample, tau: float):
     sample is returned bit-for-bit.
     """
     if not math.isfinite(tau) or tau < 0.0:
-        raise ValueError(f"tau must be finite and >= 0, got {tau}")
+        raise ValueError(f"tau: must be finite and >= 0, got {tau}")
     return sample / (1.0 + tau) + prev * (tau / (1.0 + tau))
 
 
@@ -99,9 +95,7 @@ def update_moments(state: MomentState, grad, ts: Timescales) -> MomentState:
     """
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != (state.dim,):
-        raise DimensionMismatch(
-            f"gradient shape {grad.shape} does not match state dimension {state.dim}"
-        )
+        raise ValueError(f"grad: shape {grad.shape} does not match state dimension {state.dim}")
     if state.mode is MetricShape.FULL:
         m2 = np.outer(grad, grad)
         m2 /= 1.0 + ts.tau2
@@ -131,7 +125,6 @@ def covariance(state: MomentState) -> np.ndarray:
 
 __all__ = [
     "MetricShape",
-    "DimensionMismatch",
     "Timescales",
     "MomentState",
     "ema_update",

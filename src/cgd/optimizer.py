@@ -28,10 +28,6 @@ from .metric import InverseMetricOperator, MetricSpec, MetricStatistic, build_in
 from .moments import MetricShape, MomentState, Timescales, update_moments
 
 
-class UnknownPreset(KeyError):
-    """Optimizer preset name not recognized."""
-
-
 @dataclass(frozen=True)
 class CgdConfig:
     """Everything a step needs: learning rate, timescales, metric spec.
@@ -141,7 +137,7 @@ def normalize_preset_name(name: str) -> str:
     aliases = {"cgd_diag": "cgd_diagonal", "cgdfull": "cgd_full", "cgddiagonal": "cgd_diagonal"}
     key = aliases.get(key, key)
     if key not in _PRESET_METRICS:
-        raise UnknownPreset(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
+        raise ValueError(f"optimizer: unknown preset {name!r}; expected one of {PRESET_NAMES}")
     return key
 
 
@@ -168,8 +164,7 @@ def preset(
     """
     key = normalize_preset_name(name)
     if context not in HYPERPARAMETERS:
-        raise UnknownPreset(f"unknown context {context!r}; expected one of "
-                            f"{tuple(HYPERPARAMETERS)}")
+        raise ValueError(f"context: expected one of {tuple(HYPERPARAMETERS)}, got {context!r}")
     g0, t1, t2, a0 = HYPERPARAMETERS[context][key]
     shape, stat = _PRESET_METRICS[key]
     spec = MetricSpec(
@@ -187,7 +182,6 @@ def preset(
 
 
 __all__ = [
-    "UnknownPreset",
     "CgdConfig",
     "OptimizerState",
     "initial_state",

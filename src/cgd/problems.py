@@ -85,7 +85,7 @@ def unpack_params(q: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[
     """
     q = np.asarray(q, dtype=np.float64)
     if q.shape != (N_PARAMS,):
-        raise ValueError(f"expected parameter vector of shape ({N_PARAMS},), got {q.shape}")
+        raise ValueError(f"q: expected a parameter vector of shape ({N_PARAMS},), got {q.shape}")
     return q[:-N_NEURONS].reshape(N_NEURONS, N_NEURONS), q[-N_NEURONS:]
 
 

@@ -237,10 +237,10 @@ def test_multiply_ranking_and_threshold(multiply_runs):
     # first full run: measured means adam 1.13e-1, cgd_diagonal 7.7e-5,
     # cgd_full 1.1e-5 (three orders inside the bound). The preconditioner is
     # refreshed every step (metric_update_interval stays 1); the three
-    # cgd_full runs are almost all of the fixture, which took 361 s on a
-    # 2-vCPU machine (446 s before the tridiagonal eigensolver path, 616 s
-    # before run_experiment fixed glibc's malloc thresholds), against the
-    # 15 minute budget.
+    # cgd_full runs are almost all of the fixture, whose measured time the
+    # README's Tests section gives. The 15 minute budget leaves room for a
+    # slower or busier machine and still fails a step that turns several
+    # times slower.
     runs, elapsed = multiply_runs
     mean_final = {
         name: float(np.mean([runs[name, seed].smoothed[-1] for seed in SEEDS]))

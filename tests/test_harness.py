@@ -28,9 +28,16 @@ from cgd.harness import (
 )
 from cgd.metric import MetricSpec, build_inverse_metric
 from cgd.moments import MetricShape, MomentState, Timescales, covariance, update_moments
-from cgd.optimizer import step
+from cgd.optimizer import PRESET_NAMES, step
 from cgd.problems import (MultiplyProblem, RosenbrockProblem, rosenbrock_grad, rosenbrock_loss,
                           sample_batch)
+
+
+def _child_env(**extra):
+    """The environment for a child Python process that imports this source tree's cgd."""
+    src = str(Path(cgd.__file__).resolve().parent.parent)
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 # --- configuration ---------------------------------------------------------
@@ -301,9 +308,7 @@ def test_full_metric_steps_do_not_refault_the_heap():
         "    run_experiment(cfg)\n"
         "    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)\n"
     )
-    src = str(Path(cgd.__file__).resolve().parent.parent)
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env()
     env.pop("GLIBC_TUNABLES", None)
     out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
                          capture_output=True, text=True)
@@ -377,9 +382,9 @@ def test_track_eigenvalues_rank_one():
 
 
 def test_track_eigenvalues_errors():
-    with pytest.raises(ValueError, match="k must be in"):
+    with pytest.raises(ValueError, match="^k: must be in"):
         track_eigenvalues(np.ones(3), 0)
-    with pytest.raises(ValueError, match="k must be in"):
+    with pytest.raises(ValueError, match="^k: must be in"):
         track_eigenvalues(np.ones(3), 4)
 
 
@@ -508,9 +513,7 @@ def test_full_metric_cli_rerun_is_byte_identical_at_one_blas_thread(tmp_path):
     cfg = tmp_path / "full.cfg"
     cfg.write_text("problem = multiply\noptimizer = cgd_full\nsteps = 40\n"
                    "eig_track_k = 3\n")
-    src = str(Path(cgd.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = _child_env(OPENBLAS_NUM_THREADS="1")
     outputs = []
     for name in ("a", "b"):
         out = tmp_path / name
@@ -608,6 +611,9 @@ def test_cli_config_errors(tmp_path, capsys):
     # a NUL byte in the config path
     assert cli.main(["run", "--config", str(tmp_path / "a\x00b.cfg")]) == 2
     assert capsys.readouterr().err.startswith("config error: config: cannot read")
+    assert cli.main(["run", "--config", ok, "--optimizer", "adamw"]) == 2
+    assert capsys.readouterr().err == ("config error: optimizer: unknown preset 'adamw'; "
+                                       f"expected one of {PRESET_NAMES}\n")
 
 
 @pytest.mark.parametrize("override", [
@@ -647,11 +653,9 @@ def test_cli_step_too_large_to_allocate_is_a_config_error(tmp_path, problem, opt
     # 10 retries, giving up."), which no handler in cgd can reach.
     cfg = write_cfg(tmp_path, f"problem = {problem}\noptimizer = {optimizer}\n"
                               f"{key} = {value}\nsteps = 1\noutput_dir = {tmp_path}\n")
-    src = str(Path(cgd.__file__).resolve().parent.parent)
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-m", "cgd.cli", "run", "--config", cfg], env=env,
-                          capture_output=True, text=True, preexec_fn=_cap_address_space)
+    proc = subprocess.run([sys.executable, "-m", "cgd.cli", "run", "--config", cfg],
+                          env=_child_env(OPENBLAS_NUM_THREADS="1"), capture_output=True, text=True,
+                          preexec_fn=_cap_address_space)
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"config error: {key}: no room for step 1: ")
     assert "Traceback" not in proc.stderr
@@ -703,7 +707,8 @@ def test_non_converging_eigensolver_is_a_numerical_failure(tmp_path, capsys, mon
                               f"steps = 3\noutput_dir = {tmp_path}\n")
     assert cli.main(["run", "--config", cfg]) == 3
     err = capsys.readouterr().err
-    assert err.startswith("numerical failure: eigendecomposition did not converge at step 1")
+    assert err.startswith("numerical failure: full-metric eigendecomposition failed at step 1: ")
+    assert "did not converge" in err
     assert "Traceback" not in err
     with pytest.raises(NumericalError) as caught:
         run_experiment(ExperimentConfig.from_file(cfg))
@@ -777,6 +782,38 @@ def test_cli_gradcheck(capsys):
     assert cli.main(["gradcheck", "--problem", "rosenbrock"]) == 0
     out = capsys.readouterr().out
     assert "max relative error" in out
+
+
+def _cli_with_stdout(args, stdout):
+    return subprocess.run([sys.executable, "-m", "cgd.cli", *args], env=_child_env(),
+                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+
+
+@pytest.mark.parametrize("target", ["closed-pipe", "/dev/full"])
+@pytest.mark.parametrize("command", ["run", "gradcheck"])
+def test_cli_unwritable_stdout_is_a_config_error(tmp_path, target, command):
+    # like an unwritable CSV: exit 2 and one stderr line, with no traceback and
+    # no "Exception ignored" from the interpreter's last flush of stdout
+    cfg = write_cfg(tmp_path, f"steps = 2\noutput_dir = {tmp_path}\n")
+    args = (["run", "--config", cfg] if command == "run"
+            else ["gradcheck", "--problem", "rosenbrock"])
+    if target == "closed-pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # before the child starts, so its first write fails
+        try:
+            proc = _cli_with_stdout(args, write_end)
+        finally:
+            os.close(write_end)
+        reason = "[Errno 32]"
+    else:
+        if not os.path.exists(target):
+            pytest.skip("no /dev/full on this system")
+        with open(target, "w") as full:
+            proc = _cli_with_stdout(args, full)
+        reason = "[Errno 28]"
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"config error: cannot write stdout: {reason}")
+    assert proc.stderr.count("\n") == 1
 
 
 # --- fuzzed configs ------------------------------------------------------------

@@ -8,7 +8,6 @@ from cgd.optimizer import (
     HYPERPARAMETERS,
     PRESET_NAMES,
     CgdConfig,
-    UnknownPreset,
     initial_state,
     preset,
     step,
@@ -81,9 +80,9 @@ def test_preset_overrides_and_aliases():
 
 
 def test_unknown_preset_and_context():
-    with pytest.raises(UnknownPreset):
+    with pytest.raises(ValueError, match="^optimizer:"):
         preset("adamw")
-    with pytest.raises(UnknownPreset):
+    with pytest.raises(ValueError, match="^context:"):
         preset("adam", context="quartic")
 
 
