@@ -18,6 +18,9 @@ Exit codes (the README's table):
 - 1: the one known case left: at two or more BLAS threads, OpenBLAS can fail
   its own buffer allocation for a step that does not fit ("Memory allocation
   still failed...") and end the process before Python sees a MemoryError.
+
+Stdout, like stderr, backslash-escapes a character it cannot encode, and a
+stderr that cannot be written leaves the exit code as it is.
 """
 
 from __future__ import annotations
@@ -67,15 +70,20 @@ def _parse_override_pairs(extras: list[str]) -> dict[str, str]:
     return overrides
 
 
-def _say(line: str) -> None:
-    """Print one line of a command's summary; a stdout that refuses it is a
-    config error, like an unwritable CSV."""
+def _say(line: str, stream=None) -> None:
+    """Print one line to ``stream`` (stdout by default), backslash-escaping a
+    character it cannot encode. A stdout that refuses the line is a config
+    error, like an unwritable CSV; a stderr that does leaves the exit code."""
+    stream = stream or sys.stdout
     try:
-        print(line, flush=True)
+        print(line, file=stream, flush=True)
+    except UnicodeEncodeError:
+        _say(line.encode(stream.encoding, "backslashreplace").decode(stream.encoding), stream)
     except OSError as exc:
         # the unwritten rest stays buffered; let interpreter exit flush it nowhere
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        raise ConfigError(f"cannot write stdout: {exc}") from None
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        if stream is sys.stdout:
+            raise ConfigError(f"cannot write stdout: {exc}") from None
 
 
 def _cmd_run(args, extras) -> int:
@@ -147,10 +155,10 @@ def main(argv=None) -> int:
             parser.error(f"unrecognized arguments: {' '.join(extras)}")
         return _cmd_gradcheck(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _say(f"config error: {exc}", sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
+        _say(f"numerical failure: {exc}", sys.stderr)
         return EXIT_NUMERICAL
 
 

@@ -15,9 +15,10 @@ stages itself, through the ILP64 OpenBLAS that numpy bundles, in the one
 workspace ``dsyevd`` allocates for both; V is never formed, and
 :meth:`EigenDecomposition.apply` applies Q's reflectors to the one vector.
 The eigenvalues are bitwise those of ``np.linalg.eigh``; products with V
-round differently. Below that dimension, or where numpy bundles no
-scipy-openblas (conda/MKL and Accelerate builds), ``np.linalg.eigh`` runs and
-Q is the identity.
+round differently. Every LAPACK call goes through ``_Lapack._call``, the one
+place that marshals its arguments and checks ``info``. Below that dimension,
+or where numpy bundles no scipy-openblas (conda/MKL and Accelerate builds),
+``np.linalg.eigh`` runs and Q is the identity.
 
 ``dsytrd`` overwrites its input with the reflectors, so the tridiagonal path
 copies A first. A caller that built A for this one call and never reads it
@@ -113,8 +114,7 @@ class _Lapack:
     the lower triangle, the one workspace and the scaling ``dsyevd`` uses."""
 
     def __init__(self, lib: ctypes.CDLL):
-        # (routine, character arguments, other arguments): every argument is
-        # passed by reference; each character one adds a hidden length
+        # routine: (character arguments, other arguments, info included)
         shapes = {"dsytrd": (1, 9), "dstedc": (1, 10), "dormtr": (3, 10)}
         for name, (chars, others) in shapes.items():
             fn = getattr(lib, f"scipy_{name}_64_")
@@ -122,8 +122,15 @@ class _Lapack:
             fn.restype = None
             setattr(self, name, fn)
 
-    @staticmethod
-    def _check(name: str, info: ctypes.c_int64) -> None:
+    def _call(self, name: str, *args) -> None:
+        """Call routine ``name``: bytes are character arguments (their hidden
+        lengths follow), arrays go by data pointer and ints as ILP64 integers
+        by reference, then ``info``: ``LinAlgError`` above 0, ``ValueError`` below."""
+        info = ctypes.c_int64(0)
+        refs = [a if isinstance(a, bytes) else a.ctypes.data if isinstance(a, np.ndarray)
+                else ctypes.byref(ctypes.c_int64(a)) for a in args]
+        lengths = [len(a) for a in args if isinstance(a, bytes)]
+        getattr(self, name)(*refs, ctypes.byref(info), *lengths)
         if info.value > 0:
             raise np.linalg.LinAlgError(f"{name}: eigenvalues did not converge")
         if info.value < 0:
@@ -131,8 +138,6 @@ class _Lapack:
 
     def decompose(self, a: NDArray[np.float64], overwrite_a: bool) -> EigenDecomposition:
         n = a.shape[0]
-        size, info = ctypes.c_int64(n), ctypes.c_int64(0)
-        ref, one = ctypes.byref, ctypes.c_size_t(1)
         # a is exactly symmetric, so its C layout is its column-major layout:
         # a C-contiguous a's transpose is a Fortran view of the same numbers
         reflectors = a if a.flags.f_contiguous else a.T
@@ -151,17 +156,10 @@ class _Lapack:
         # its block size (32, and n >= 64 here), so dsytrd blocks as in eigh
         d, e, tau = np.empty(n), np.empty(n - 1), np.empty(n - 1)
         work = np.empty(1 + 4 * n + n * n)
-        self.dsytrd(b"L", ref(size), reflectors.ctypes.data, ref(size), d.ctypes.data,
-                    e.ctypes.data, tau.ctypes.data, work.ctypes.data,
-                    ref(ctypes.c_int64(work.size)), ref(info), one)
-        self._check("dsytrd", info)
-
+        self._call("dsytrd", b"L", n, reflectors, n, d, e, tau, work, work.size)
         z = np.empty((n, n), order="F")
         iwork = np.empty(3 + 5 * n, dtype=np.int64)
-        self.dstedc(b"I", ref(size), d.ctypes.data, e.ctypes.data, z.ctypes.data, ref(size),
-                    work.ctypes.data, ref(ctypes.c_int64(work.size)), iwork.ctypes.data,
-                    ref(ctypes.c_int64(iwork.size)), ref(info), one)
-        self._check("dstedc", info)
+        self._call("dstedc", b"I", n, d, e, z, n, work, work.size, iwork, iwork.size)
         if scale is not None:
             d *= 1.0 / scale
         return EigenDecomposition(d, z, reflectors, tau)
@@ -170,13 +168,7 @@ class _Lapack:
         """Overwrite the vector ``x`` with Q x (``trans`` b"N") or Q^T x (b"T"),
         unblocked (a workspace of one entry)."""
         n = reflectors.shape[0]
-        size, unit, info = ctypes.c_int64(n), ctypes.c_int64(1), ctypes.c_int64(0)
-        work = np.empty(1)
-        ref, one = ctypes.byref, ctypes.c_size_t(1)
-        self.dormtr(b"L", b"L", trans, ref(size), ref(unit), reflectors.ctypes.data, ref(size),
-                    tau.ctypes.data, x.ctypes.data, ref(size), work.ctypes.data, ref(unit),
-                    ref(info), one, one, one)
-        self._check("dormtr", info)
+        self._call("dormtr", b"L", b"L", trans, n, 1, reflectors, n, tau, x, n, np.empty(1), 1)
 
 
 @functools.cache

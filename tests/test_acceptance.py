@@ -231,6 +231,7 @@ def test_rosenbrock_smoothed_loss_monotonicity(rosenbrock_runs):
     assert _verdict("rosenbrock smoothed monotonicity", ok), rates
 
 
+@pytest.mark.slow
 def test_multiply_ranking_and_threshold(multiply_runs):
     # seed-averaged final smoothed MSE must order cgd_full <= cgd_diagonal
     # <= adam, with cgd_full below 1e-2. The threshold was frozen from the
@@ -266,6 +267,7 @@ def _decay_ratio(top):
     return float(top[-1] / top[DECAY_FROM_ROW:].max())
 
 
+@pytest.mark.slow
 def test_eigenvalue_decay(multiply_runs):
     # The tracked covariance spectrum must collapse: the top eigenvalue ends
     # at least one order of magnitude below its in-training peak, read over
@@ -302,6 +304,7 @@ def _tail_rebound(eigs):
     return smoothed[start:].max(axis=0) / smoothed[start]
 
 
+@pytest.mark.slow
 def test_eigenvalue_smoothed_tail_monotonicity(multiply_runs):
     # Clause: "top-10 eigenvalues each non-increasing over the final 20% of
     # steps under smoothing", read as: the collapse is not reversed in the

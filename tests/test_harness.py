@@ -1,3 +1,4 @@
+import contextlib
 import importlib.util
 import os
 import subprocess
@@ -561,7 +562,7 @@ def test_gradcheck_rosenbrock_small():
 
 def write_cfg(tmp_path, text):
     path = tmp_path / "exp.cfg"
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -784,12 +785,33 @@ def test_cli_gradcheck(capsys):
     assert "max relative error" in out
 
 
-def _cli_with_stdout(args, stdout):
-    return subprocess.run([sys.executable, "-m", "cgd.cli", *args], env=_child_env(),
-                          stdout=stdout, stderr=subprocess.PIPE, text=True)
+def _cli_child(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env):
+    return subprocess.run([sys.executable, "-m", "cgd.cli", *args], env=_child_env(**env),
+                          stdout=stdout, stderr=stderr, text=True)
 
 
-@pytest.mark.parametrize("target", ["closed-pipe", "/dev/full"])
+_WRITE_ERRORS = {"closed-pipe": "[Errno 32]", "/dev/full": "[Errno 28]"}
+
+
+@contextlib.contextmanager
+def _unwritable(target):
+    """A file every write to fails: a pipe whose read end is closed before the
+    child starts, or /dev/full (skipped if absent)."""
+    if target == "closed-pipe":
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            yield write_end
+        finally:
+            os.close(write_end)
+    else:
+        if not os.path.exists(target):
+            pytest.skip(f"no {target} on this system")
+        with open(target, "w") as full:
+            yield full
+
+
+@pytest.mark.parametrize("target", list(_WRITE_ERRORS))
 @pytest.mark.parametrize("command", ["run", "gradcheck"])
 def test_cli_unwritable_stdout_is_a_config_error(tmp_path, target, command):
     # like an unwritable CSV: exit 2 and one stderr line, with no traceback and
@@ -797,23 +819,36 @@ def test_cli_unwritable_stdout_is_a_config_error(tmp_path, target, command):
     cfg = write_cfg(tmp_path, f"steps = 2\noutput_dir = {tmp_path}\n")
     args = (["run", "--config", cfg] if command == "run"
             else ["gradcheck", "--problem", "rosenbrock"])
-    if target == "closed-pipe":
-        read_end, write_end = os.pipe()
-        os.close(read_end)  # before the child starts, so its first write fails
-        try:
-            proc = _cli_with_stdout(args, write_end)
-        finally:
-            os.close(write_end)
-        reason = "[Errno 32]"
-    else:
-        if not os.path.exists(target):
-            pytest.skip("no /dev/full on this system")
-        with open(target, "w") as full:
-            proc = _cli_with_stdout(args, full)
-        reason = "[Errno 28]"
+    with _unwritable(target) as stdout:
+        proc = _cli_child(args, stdout=stdout)
     assert proc.returncode == 2, proc.stderr
-    assert proc.stderr.startswith(f"config error: cannot write stdout: {reason}")
+    assert proc.stderr.startswith(f"config error: cannot write stdout: {_WRITE_ERRORS[target]}")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("target", list(_WRITE_ERRORS))
+@pytest.mark.parametrize("failure, code", [("config", 2), ("numerical", 3)])
+def test_cli_unwritable_stderr_keeps_the_exit_code(tmp_path, target, failure, code):
+    # the report is lost, but the exit code still names the failure
+    if failure == "config":
+        cfg = str(tmp_path / "missing.cfg")
+    else:  # the first gradient overflows, as in the non-finite full-metric test
+        cfg = write_cfg(tmp_path, "problem = rosenbrock\noptimizer = cgd_full\n"
+                                  f"q0 = 1e200,1e200\noutput_dir = {tmp_path}\n")
+    with _unwritable(target) as stderr:
+        proc = _cli_child(["run", "--config", cfg], stderr=stderr)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+
+
+def test_cli_stdout_escapes_what_it_cannot_encode(tmp_path):
+    out = tmp_path / "runs-\u00e9"
+    cfg = write_cfg(tmp_path, f"steps = 2\noutput_dir = {out}\n")
+    proc = _cli_child(["run", "--config", cfg], PYTHONIOENCODING="ascii")
+    assert proc.returncode == 0, proc.stderr
+    csv = out / "rosenbrock_cgd_diagonal_seed0.csv"
+    assert proc.stdout.splitlines()[-1] == f"wrote {tmp_path}{os.sep}runs-\\xe9{os.sep}{csv.name}"
+    assert csv.stat().st_size > 0
 
 
 # --- fuzzed configs ------------------------------------------------------------

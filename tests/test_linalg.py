@@ -164,6 +164,17 @@ def test_non_converging_tridiagonal_solver_raises_linalg_error(monkeypatch):
         eigendecompose(random_symmetric(np.random.default_rng(0), TRIDIAGONAL_MIN_DIM))
 
 
+@tridiagonal
+def test_illegal_lapack_argument_raises_value_error(monkeypatch):
+    def rejecting_dstedc(*args):
+        args[10]._obj.value = -4  # info < 0: argument 4 had an illegal value
+
+    monkeypatch.setattr(linalg._binding(), "dstedc", rejecting_dstedc)
+    with pytest.raises(ValueError, match="^dstedc: illegal value in argument 4") as caught:
+        eigendecompose(random_symmetric(np.random.default_rng(0), TRIDIAGONAL_MIN_DIM))
+    assert not isinstance(caught.value, np.linalg.LinAlgError)
+
+
 def _assert_is_eigh(a):
     dec = eigendecompose(a)
     w, v = np.linalg.eigh(a)
