@@ -229,7 +229,7 @@ def track_eigenvalues(spectrum: NDArray[np.float64], k: int) -> NDArray[np.float
     ``spectrum`` is the raw ascending spectrum a step carries in
     ``OptimizerState.spectrum``: that of the statistic behind the full-metric
     operator the step applied (the covariance or the second moment, as the
-    metric is configured; between refreshes, the cached operator's).
+    metric is configured; between refreshes, the reused operator's).
     """
     if not 1 <= k <= spectrum.shape[0]:
         raise ValueError(f"k: must be in [1, {spectrum.shape[0]}], got {k}")

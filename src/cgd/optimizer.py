@@ -32,10 +32,10 @@ from .moments import MetricShape, MomentState, Timescales, update_moments
 class CgdConfig:
     """Everything a step needs: learning rate, timescales, metric spec.
 
-    ``metric_update_interval`` > 1 reuses the full-metric eigendecomposition
-    for that many steps, trading fidelity for time: only the O(d^3)
-    decomposition is amortized, while the O(d^2) moment update and operator
-    apply still run every step. The default of 1 recomputes every step.
+    ``metric_update_interval`` = N builds the full-metric operator at steps
+    1, N + 1, 2N + 1, ... and applies each for N steps. Only the O(d^3)
+    decomposition is amortized; the O(d^2) moment update and operator apply
+    still run every step. The default of 1 builds one every step.
     """
 
     gamma: float
@@ -54,11 +54,12 @@ class CgdConfig:
 class OptimizerState:
     """Parameters plus moment statistics; treated as an immutable value.
 
-    ``precond`` carries the cached inverse-metric operator between steps when
-    a refresh interval > 1 is configured; it is None otherwise. ``spectrum``
-    is the raw ascending spectrum of the statistic behind the full-metric
-    operator that the step which produced this state applied: the one it
-    built, or the cached one it reused. It is None for a diagonal metric.
+    ``precond`` is the operator the next step applies in place of building
+    one, whatever config it is given, so a state belongs to the config that
+    made it: a full-metric step keeps its operator only when its interval
+    reuses it next, else None. ``spectrum`` is the raw ascending spectrum of
+    the statistic behind the operator that step applied, built or carried;
+    None for a diagonal metric.
     """
 
     params: np.ndarray
@@ -80,21 +81,20 @@ def step(state: OptimizerState, grad, cfg: CgdConfig) -> OptimizerState:
     ``grad`` must be the loss gradient at ``state.params`` — evaluating it is
     the caller's job, which keeps the optimizer agnostic of the objective.
     Moments are refreshed with the current gradient before the parameter
-    move, so the force is the up-to-date first moment.
+    move, so the force is the up-to-date first moment. The operator is the
+    one ``state`` carries, or a fresh build when it carries none.
     """
     moments = update_moments(state.moments, grad, cfg.timescales)
-
-    interval = cfg.metric_update_interval
     operator = state.precond
-    if operator is None or (moments.step - 1) % interval == 0:
+    if operator is None:
         operator = build_inverse_metric(moments, cfg.metric)
-    cached = operator if interval > 1 and cfg.metric.shape is MetricShape.FULL else None
+    carry = cfg.metric.shape is MetricShape.FULL and moments.step % cfg.metric_update_interval
 
     direction = operator.apply(moments.m1)
     return OptimizerState(
         params=state.params - cfg.gamma * direction,
         moments=moments,
-        precond=cached,
+        precond=operator if carry else None,
         spectrum=operator.eigenvalues,
     )
 

@@ -433,7 +433,7 @@ def test_tracking_reuses_the_step_spectrum_bitwise(monkeypatch, interval):
                                           eig_track_k=10, eig_track_interval=1,
                                           metric_update_interval=interval))
     # tracking decomposes nothing of its own; at interval 3 the operator is
-    # built at steps 1, 4 and 7 and cached in between ...
+    # built at steps 1, 4 and 7 and reused in between ...
     assert len(builds) == (7 if interval == 1 else 3)
     assert len(decompositions) == len(builds)
     if interval == 3:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -140,12 +142,13 @@ def test_metric_update_interval_reuses_operator():
         st = step(st, rosenbrock_gradient(st.params), cfg)
         ops.append(st.precond)
         moments.append(st.moments)
-    # refreshed at moment steps 1, 4, 7; reused in between
-    assert ops[0] is ops[1] is ops[2]
-    assert ops[3] is ops[4] is ops[5]
+    # built at moment steps 1, 4, 7; the states after steps 1-2 and 4-5
+    # carry each into the two steps that reuse it
+    assert ops[0] is ops[1]
+    assert ops[3] is ops[4]
     assert ops[3] is not ops[0]
     assert ops[6] is not ops[3]
-    # each operator was built from the moments of the step that refreshed it
+    # each operator was built from the moments of the step that built it
     for t in (0, 3, 6):
         fresh = build_inverse_metric(moments[t], cfg.metric)
         assert np.array_equal(ops[t].weights, fresh.weights)
@@ -158,7 +161,7 @@ def test_metric_update_interval_reuses_operator():
 @pytest.mark.skipif(linalg._binding() is None, reason="numpy bundles no scipy-openblas LAPACK")
 def test_cached_operator_on_the_tridiagonal_path_is_the_build():
     # at d = 70 the factorization keeps the reflectors, tau and the
-    # tridiagonal eigenvectors, which a cached operator carries as built
+    # tridiagonal eigenvectors, which a carried operator holds as built
     cfg = preset("cgd_full", context="multiply", metric_update_interval=3)
     rng = np.random.default_rng(11)
     st = initial_state(rng.standard_normal(70), cfg)
@@ -167,7 +170,8 @@ def test_cached_operator_on_the_tridiagonal_path_is_the_build():
         st = step(st, rng.standard_normal(70), cfg)
         ops.append(st.precond)
         moments.append(st.moments)
-    assert ops[0] is ops[1] is ops[2] and ops[3] is not ops[0]
+    # built at steps 1 and 4; the states after steps 1, 2 and 4 carry one
+    assert ops[0] is ops[1] and ops[3] is not ops[0]
     for t in (0, 3):
         built = ops[t].factorization
         rebuilt = build_inverse_metric(moments[t], cfg.metric).factorization
@@ -180,12 +184,16 @@ def test_state_carries_the_spectrum_of_the_applied_operator():
     cfg = preset("cgd_full", context="rosenbrock", metric_update_interval=3)
     st = initial_state(Q0, cfg)
     spectra = []
-    for _ in range(7):
+    for t in range(1, 8):
+        given = st.precond
         st = step(st, rosenbrock_gradient(st.params), cfg)
-        assert st.spectrum is st.precond.eigenvalues
+        # steps 3 and 6 apply the operator they were given and carry none on;
+        # the other steps carry on the operator they applied
+        applied = given if t % 3 == 0 else st.precond
+        assert st.spectrum is applied.eigenvalues
         assert st.spectrum.shape == (2,)
         spectra.append(st.spectrum)
-    # built at steps 1, 4 and 7; the steps between carry the cached operator's
+    # built at steps 1, 4 and 7; the steps between reuse the carried operator's
     assert spectra[0] is spectra[1] is spectra[2] is not spectra[3]
     assert spectra[3] is spectra[4] is spectra[5] is not spectra[6]
 
@@ -195,6 +203,48 @@ def test_state_carries_the_spectrum_of_the_applied_operator():
 
     diag = preset("cgd_diagonal", context="rosenbrock")
     assert step(initial_state(Q0, diag), rosenbrock_gradient(Q0), diag).spectrum is None
+
+
+def test_state_carries_the_applied_operator_only_into_a_step_that_reuses_it():
+    for interval in (1, 2, 3):
+        cfg = preset("cgd_full", context="rosenbrock", metric_update_interval=interval)
+        st = initial_state(Q0, cfg)
+        for t in range(1, 8):
+            st = step(st, rosenbrock_gradient(st.params), cfg)
+            if t % interval:
+                assert st.precond.eigenvalues is st.spectrum, (interval, t)
+            else:
+                assert st.precond is None, (interval, t)
+
+    diag = preset("cgd_diagonal", context="rosenbrock", metric_update_interval=2)
+    st = initial_state(Q0, diag)
+    for _ in range(4):
+        st = step(st, rosenbrock_gradient(st.params), diag)
+        assert st.precond is None
+
+
+def _peak_step_memory(interval, dim=128, steps=6):
+    """Peak bytes traced over a ``st = step(st, g, cfg)`` loop, in d x d arrays."""
+    cfg = preset("cgd_full", context="multiply", metric_update_interval=interval)
+    rng = np.random.default_rng(4)
+    grads = rng.standard_normal((steps, dim))
+    st = initial_state(rng.standard_normal(dim), cfg)
+    tracemalloc.start()
+    try:
+        for g in grads:
+            st = step(st, g, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / (dim * dim * 8)
+
+
+def test_reuse_holds_no_more_arrays_at_its_peak_than_a_build_every_step():
+    # A refresh step builds its operator while the state it was given is
+    # alive; that state carries no operator, so at interval 2 the peak is the
+    # interval-1 peak (five d x d arrays on the tridiagonal path at d = 128)
+    every, every_other = _peak_step_memory(1), _peak_step_memory(2)
+    assert every_other - every < 0.5, (every, every_other)
 
 
 def test_step_mutates_no_input_array():

@@ -15,8 +15,10 @@ The full-metric CSVs at d >= `cgd.linalg.TRIDIAGONAL_MIN_DIM` also depend on
 whether numpy bundles scipy-openblas, which decides the eigensolver path.
 The two interval-3 configs and the second-moment one pin the tracked-spectrum
 rule: their eig columns hold the spectrum of the operator each step applied,
-which on a step between refreshes is the cached one, and under
-`statistic = second_moment` is that of m2.
+which on a step between refreshes is the carried one, and under
+`statistic = second_moment` is that of m2. The interval-2 config is the
+cadence of the `multiply-full-lazy` benchmark workload, where every other
+state carries no operator and the next step builds one.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ ROSENBROCK_FULL = {"problem": "rosenbrock", "optimizer": "cgd_full", "steps": 50
 
 CONFIGS: dict[str, dict] = {
     "multiply-full": MULTIPLY_FULL,
+    "multiply-full-interval2": {**MULTIPLY_FULL, "metric_update_interval": 2},
     "multiply-full-interval3": {**MULTIPLY_FULL, "metric_update_interval": 3},
     "multiply-full-second-moment": {**MULTIPLY_FULL, "statistic": "second_moment"},
     "rosenbrock-full": ROSENBROCK_FULL,
