@@ -15,8 +15,9 @@ from __future__ import annotations
 import functools
 import io
 import math
+import numbers
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
@@ -76,18 +77,16 @@ class ExperimentConfig:
     output_dir: str = "runs"
 
     def __post_init__(self):
+        # the one place a value is typed: a config file, an override and Python all pass here
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is not None or field.default is not None:
+                object.__setattr__(self, field.name, _coerce(field.name, value))
         if self.problem not in PROBLEM_NAMES:
             raise ConfigError(f"problem: expected one of {PROBLEM_NAMES}, got {self.problem!r}")
-        if self.steps < 1:
-            raise ConfigError(f"steps: must be >= 1, got {self.steps}")
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be >= 0, got {self.seed}")
-        if self.eig_track_k < 0:
-            raise ConfigError(f"eig_track_k: must be >= 0, got {self.eig_track_k}")
-        if self.eig_track_interval < 1:
-            raise ConfigError(
-                f"eig_track_interval: must be >= 1, got {self.eig_track_interval}"
-            )
+        for key, low in _LOWER_BOUNDS.items():
+            if getattr(self, key) < low:
+                raise ConfigError(f"{key}: must be >= {low}, got {getattr(self, key)}")
         if self.problem == "rosenbrock":
             if self.batch_size is not None:
                 raise ConfigError("batch_size: only valid for the multiply problem")
@@ -133,7 +132,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "ExperimentConfig":
-        return cls(**_parse(mapping))
+        return cls(**_known(mapping))
 
     @classmethod
     def from_file(cls, path: str) -> "ExperimentConfig":
@@ -163,7 +162,7 @@ class ExperimentConfig:
         return cls.from_mapping(mapping)
 
     def with_overrides(self, overrides: dict) -> "ExperimentConfig":
-        return replace(self, **_parse(overrides))
+        return replace(self, **_known(overrides))
 
 
 def _value_type(hint) -> type:
@@ -173,35 +172,36 @@ def _value_type(hint) -> type:
 
 
 _FIELD_TYPES = {key: _value_type(hint) for key, hint in get_type_hints(ExperimentConfig).items()}
+_LOWER_BOUNDS = {"steps": 1, "seed": 0, "eig_track_k": 0, "eig_track_interval": 1}
+
+# what a field takes, besides a string, from a config built in Python
+_TYPED_VALUES = {int: numbers.Integral, float: numbers.Real, str: os.PathLike}
+_EXPECTED = {int: "an integer", float: "a number", str: "a string",
+             tuple: "comma-separated numbers"}
 
 
-def _parse(mapping: dict) -> dict:
-    """Type each value by its ExperimentConfig field; an unknown key is an error."""
+def _known(mapping: dict) -> dict:
+    """``mapping`` itself, once each of its keys names an ExperimentConfig field."""
     unknown = sorted(set(mapping) - set(_FIELD_TYPES))
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
-    return {key: _coerce(key, raw) for key, raw in mapping.items()}
+    return mapping
 
 
 def _coerce(key: str, raw):
-    """Turn a config-file string (or an already-typed value) into the field type."""
-    if raw is None:
-        return None
+    """Turn a config-file string, or a value given in Python, into the field type."""
     kind = _FIELD_TYPES[key]
-    if kind in (int, float):
-        # str() of a typed value parses back to the same number
-        try:
-            return kind(str(raw).strip())
-        except ValueError:
-            expected = "an integer" if kind is int else "a number"
-            raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
-    if kind is tuple:
-        parts = raw if isinstance(raw, (tuple, list)) else str(raw).split(",")
-        try:  # float(None) is a TypeError
+    try:
+        if kind is tuple:  # a string, or any other sequence (a numpy array included)
+            parts = raw.split(",") if isinstance(raw, str) else raw
             return tuple(float(part) for part in parts)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{key}: expected comma-separated numbers, got {raw!r}") from None
-    return str(raw).strip()
+        if isinstance(raw, str):
+            return kind(raw.strip())
+        if isinstance(raw, _TYPED_VALUES[kind]) and not isinstance(raw, bool):
+            return kind(raw)  # not through str(), which would round a np.float32
+    except (TypeError, ValueError, OverflowError):  # float(None); float(10**400)
+        pass
+    raise ConfigError(f"{key}: expected {_EXPECTED[kind]}, got {raw!r}")
 
 
 @dataclass
@@ -391,31 +391,31 @@ def write_csv(record: RunRecord, path) -> None:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
-def compare_suite(suite: str, out_dir, **settings) -> dict[str, RunRecord]:
+def compare_suite(suite: str, out_dir, /, **settings) -> dict[str, RunRecord]:
     """Run every preset on one benchmark, writing a CSV per optimizer.
 
     ``settings`` apply to every run and are typed like config-file values;
     any :class:`ExperimentConfig` key is accepted except the four set here
     per run (``problem``, ``optimizer``, ``eig_track_k``, ``output_dir``).
-    One not given keeps its default. The full-matrix run on the multiply
-    suite also tracks the top-10 covariance eigenvalues, matching the
-    spectra-decay figure setup.
+    One not given keeps its default. Every run's config is built, and so
+    checked, before the directory is made or a run starts. The full-matrix
+    run on the multiply suite also tracks the top-10 covariance eigenvalues,
+    matching the spectra-decay figure setup.
     """
     if suite not in PROBLEM_NAMES:
         raise ConfigError(f"suite: expected one of {PROBLEM_NAMES}, got {suite!r}")
     fixed = sorted(set(settings) & {"problem", "optimizer", "eig_track_k", "output_dir"})
     if fixed:
         raise ConfigError(f"{', '.join(fixed)}: set by compare for each run")
-    settings = _parse(settings)
+    configs = [ExperimentConfig(problem=suite, optimizer=name, output_dir=str(Path(out_dir)),
+                                eig_track_k=10 if (suite, name) == ("multiply", "cgd_full") else 0,
+                                **_known(settings)) for name in PRESET_NAMES]
     out = make_output_dir(out_dir)
     records: dict[str, RunRecord] = {}
-    for name in PRESET_NAMES:
-        track = 10 if (suite == "multiply" and name == "cgd_full") else 0
-        cfg = ExperimentConfig(problem=suite, optimizer=name, eig_track_k=track,
-                               output_dir=str(out), **settings)
+    for cfg in configs:
         record = run_experiment(cfg)
-        write_csv(record, out / f"{name}.csv")
-        records[name] = record
+        write_csv(record, out / f"{cfg.optimizer}.csv")
+        records[cfg.optimizer] = record
     return records
 
 

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .moments import MetricShape, MomentState, covariance
+from .moments import MetricShape, MomentState, _member, covariance
 
 
 class MetricStatistic(str, Enum):
@@ -34,11 +34,9 @@ class MetricSpec:
     eps: float = 1e-8
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", MetricShape(self.shape))
-        expected = tuple(stat.value for stat in MetricStatistic)
-        if self.statistic not in expected:
-            raise ValueError(f"statistic: expected one of {expected}, got {self.statistic!r}")
-        object.__setattr__(self, "statistic", MetricStatistic(self.statistic))
+        object.__setattr__(self, "shape", _member(MetricShape, "shape", self.shape))
+        statistic = _member(MetricStatistic, "statistic", self.statistic)
+        object.__setattr__(self, "statistic", statistic)
         if not np.isfinite(self.power):
             raise ValueError(f"power: must be finite, got {self.power}")
         if not (np.isfinite(self.eps) and self.eps > 0.0):

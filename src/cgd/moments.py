@@ -24,6 +24,14 @@ class MetricShape(str, Enum):
     FULL = "full"
 
 
+def _member(enum: type[Enum], key: str, value) -> Enum:
+    """``value`` as a member of a string enum; a ValueError naming ``key`` otherwise."""
+    expected = tuple(member.value for member in enum)
+    if value not in expected:
+        raise ValueError(f"{key}: expected one of {expected}, got {value!r}")
+    return enum(value)
+
+
 # Rows of the d x d second moment folded per block in a full-mode update;
 # 64 rows of a 552-wide matrix are about 280 KB, which stays in cache.
 BLOCK_ROWS = 64
@@ -61,7 +69,8 @@ class MomentState:
         """Fresh state: zero first moment, identity second moment."""
         if dim < 1:
             raise ValueError(f"dim: must be >= 1, got {dim}")
-        m2 = np.eye(dim) if MetricShape(shape) is MetricShape.FULL else np.ones(dim)
+        full = _member(MetricShape, "shape", shape) is MetricShape.FULL
+        m2 = np.eye(dim) if full else np.ones(dim)
         return cls(m1=np.zeros(dim), m2=m2, step=0)
 
     @property

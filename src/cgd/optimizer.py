@@ -20,6 +20,7 @@ well scaled. Classical references used in tests follow the same convention.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,8 +47,10 @@ class CgdConfig:
     def __post_init__(self):
         if not (math.isfinite(self.gamma) and self.gamma > 0.0):
             raise ValueError(f"gamma: must be finite and > 0, got {self.gamma}")
-        if self.metric_update_interval < 1:
-            raise ValueError("metric_update_interval: must be >= 1")
+        interval = self.metric_update_interval
+        if (isinstance(interval, bool) or not isinstance(interval, numbers.Integral)
+                or interval < 1):
+            raise ValueError(f"metric_update_interval: must be an integer >= 1, got {interval!r}")
 
 
 @dataclass(frozen=True)

@@ -183,6 +183,28 @@ def test_overrides_are_typed():
         ExperimentConfig().with_overrides({"gamma": "fast"})
 
 
+@pytest.mark.parametrize("values, field, typed", [
+    ({"steps": 2.5}, "steps", ConfigError),
+    ({"eig_track_interval": 2.5}, "eig_track_interval", ConfigError),
+    ({"optimizer": "cgd_full", "metric_update_interval": 1.5}, "metric_update_interval",
+     ConfigError),
+    ({"gamma": "fast"}, "gamma", ConfigError),
+    ({"optimizer": None}, "optimizer", ConfigError),
+    ({"steps": True}, "steps", ConfigError),
+    ({"seed": "3"}, "seed", 3),
+    ({"q0": np.array([0.0, 0.5])}, "q0", (0.0, 0.5)),
+    # exact: str(np.float32(0.1)) would parse back as 0.1
+    ({"gamma": np.float32(0.1)}, "gamma", float(np.float32(0.1))),
+])
+def test_config_built_in_python_is_typed_like_a_config_file(values, field, typed):
+    if typed is ConfigError:
+        with pytest.raises(ConfigError, match=f"^{field}: expected "):
+            ExperimentConfig(**values)
+        return
+    value = getattr(ExperimentConfig(**values), field)
+    assert type(value) is type(typed) and value == typed
+
+
 def test_csv_digest_configs_parse():
     # tools/csv_digest.py writes each config as `key = value` lines; a renamed
     # or removed key should fail here, not halfway through a digest listing
@@ -758,7 +780,12 @@ def test_cli_compare_takes_the_run_override_grammar(tmp_path, monkeypatch, spell
     (["--ste", "3"], "unknown config key(s): ste"),  # no prefix matching
     (["--optimizer", "adam"], "optimizer: set by compare for each run"),
     (["--steps", "3", "--steps", "4"], "duplicate override --steps"),
-], ids=["abbreviation", "per-run-key", "duplicate"])
+    # compare's own arguments are no config keys, whatever they are called in Python
+    (["--out-dir", "x"], "unknown config key(s): out_dir"),
+    (["--out_dir=x"], "unknown config key(s): out_dir"),
+    # a value that types but fails a later check still stops compare before any directory
+    (["--metric-update-interval", "0"], "metric_update_interval: must be an integer >= 1, got 0"),
+], ids=["abbreviation", "per-run-key", "duplicate", "out-dir", "out_dir", "late-check"])
 def test_cli_compare_refuses_bad_overrides(tmp_path, capsys, extras, message):
     out = tmp_path / "cmp"
     assert cli.main(["compare", "--suite", "rosenbrock", "--out", str(out), *extras]) == 2

@@ -36,7 +36,8 @@ def test_spec_accepts_strings_and_validates():
     assert spec.shape is MetricShape.DIAGONAL
     assert spec.statistic is MetricStatistic.COVARIANCE
     assert spec.eps == 1e-8
-    with pytest.raises(ValueError):
+    banded = r"^shape: expected one of \('diagonal', 'full'\), got 'banded'$"
+    with pytest.raises(ValueError, match=banded):
         MetricSpec("banded", "covariance", 0.5)
     with pytest.raises(ValueError):
         MetricSpec("full", "covariance", np.nan)

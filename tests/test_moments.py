@@ -71,7 +71,8 @@ def test_initial_state():
 
     with pytest.raises(ValueError):
         MomentState.initial(0)
-    with pytest.raises(ValueError):
+    banded = r"^shape: expected one of \('diagonal', 'full'\), got 'banded'$"
+    with pytest.raises(ValueError, match=banded):
         MomentState.initial(2, "banded")
 
 

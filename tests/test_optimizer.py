@@ -42,6 +42,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         CgdConfig(gamma=0.1, timescales=Timescales(0.0, 0.0), metric=spec,
                   metric_update_interval=0)
+    # an interval of 1.5 would refresh at steps 1, 4, 7, ...: a float or a bool is refused
+    for interval in (1.5, 2.0, True):
+        with pytest.raises(ValueError, match="^metric_update_interval: must be an integer"):
+            preset("cgd_full", metric_update_interval=interval)
+    assert preset("cgd_full", metric_update_interval=np.int64(2)).metric_update_interval == 2
 
 
 def test_preset_tables():
