@@ -319,6 +319,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
 
     # the key that sizes a step's arrays: the batch on multiply, the dimension on rosenbrock
     size_key = "batch_size" if stochastic else "dim"
+    smooth = 0.0  # a Python float: its EMA rounds as a float64 does, without numpy scalars
     for t in range(cfg.steps):
         try:
             batch = problem.batch(int(batch_seeds[t])) if stochastic else None
@@ -333,8 +334,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunRecord:
             raise ConfigError(f"{size_key}: no room for step {t + 1}: {exc}") from None
         if not math.isfinite(loss):
             raise NumericalError(f"loss became non-finite at step {t + 1}", step=t + 1)
+        smooth = loss if t == 0 else ema_update(smooth, loss, TAU_PLOT)
         losses[t] = loss
-        smoothed[t] = loss if t == 0 else ema_update(smoothed[t - 1], loss, TAU_PLOT)
+        smoothed[t] = smooth
         if keep_params:
             params[t] = state.params
         if k > 0 and t % cfg.eig_track_interval == 0:

@@ -98,9 +98,10 @@ def eigendecompose(a, *, overwrite_a: bool = False) -> EigenDecomposition:
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"a: expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    # count_nonzero is the cheapest full reduction of a boolean array
+    if np.count_nonzero(np.isfinite(a)) != a.size:
         raise np.linalg.LinAlgError("matrix has non-finite entries")
-    if not np.array_equal(a, a.T):
+    if np.count_nonzero(a != a.T):
         raise ValueError("a: matrix is not symmetric")
     lapack = _binding() if a.shape[0] >= TRIDIAGONAL_MIN_DIM else None
     if lapack is None:

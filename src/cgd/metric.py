@@ -87,7 +87,9 @@ def build_inverse_metric(state: MomentState, spec: MetricSpec) -> InverseMetricO
         # the covariance was built for this call alone; m2 belongs to the state
         factorization = linalg.eigendecompose(stat, overwrite_a=centered)
         stat = factorization.eigenvalues
-    weights = (np.maximum(stat, 0.0) + spec.eps) ** (-spec.power)
+    weights = np.maximum(stat, 0.0)
+    weights += spec.eps
+    weights **= -spec.power
     return InverseMetricOperator(weights, factorization)
 
 

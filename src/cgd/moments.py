@@ -86,11 +86,15 @@ def ema_update(prev, sample, tau: float):
     """One backward-difference EMA step; elementwise for arrays.
 
     Exact fixed point: ``ema_update(x, x, tau) == x``. With ``tau == 0`` the
-    sample is returned bit-for-bit.
+    sample is returned bit-for-bit, as a new value: ``prev`` is not read, so
+    a -0.0 sample stays -0.0 and an infinite ``prev`` adds no NaN.
     """
     if not math.isfinite(tau) or tau < 0.0:
         raise ValueError(f"tau: must be finite and >= 0, got {tau}")
-    return sample / (1.0 + tau) + prev * (tau / (1.0 + tau))
+    if tau == 0.0:
+        return sample / 1.0
+    scale = 1.0 + tau
+    return sample / scale + prev * (tau / scale)
 
 
 def update_moments(state: MomentState, grad, ts: Timescales) -> MomentState:
@@ -103,22 +107,21 @@ def update_moments(state: MomentState, grad, ts: Timescales) -> MomentState:
     entry as :func:`ema_update`, so the result is bit-identical to it.
     """
     grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != (state.dim,):
+    m1, prev = state.m1, state.m2
+    if grad.shape != m1.shape:
         raise ValueError(f"grad: shape {grad.shape} does not match state dimension {state.dim}")
-    if state.mode is MetricShape.FULL:
-        m2 = np.outer(grad, grad)
-        m2 /= 1.0 + ts.tau2
-        retain = ts.tau2 / (1.0 + ts.tau2)
-        prev = state.m2
-        for lo in range(0, state.dim, BLOCK_ROWS):
-            m2[lo : lo + BLOCK_ROWS] += prev[lo : lo + BLOCK_ROWS] * retain
+    tau = ts.tau2
+    if prev.ndim == 2:  # full mode, as `MomentState.mode` tells it
+        m2 = np.multiply.outer(grad, grad)
+        if tau:  # at tau == 0 the outer product is the new m2, as ema_update returns it
+            m2 /= 1.0 + tau
+            retain = tau / (1.0 + tau)
+            for lo in range(0, m2.shape[0], BLOCK_ROWS):
+                block = m2[lo : lo + BLOCK_ROWS]
+                block += prev[lo : lo + BLOCK_ROWS] * retain
     else:
-        m2 = ema_update(state.m2, grad * grad, ts.tau2)
-    return MomentState(
-        m1=ema_update(state.m1, grad, ts.tau1),
-        m2=m2,
-        step=state.step + 1,
-    )
+        m2 = ema_update(prev, grad * grad, tau)
+    return MomentState(ema_update(m1, grad, ts.tau1), m2, state.step + 1)
 
 
 def covariance(state: MomentState) -> np.ndarray:
@@ -127,9 +130,9 @@ def covariance(state: MomentState) -> np.ndarray:
     May contain negative entries (or eigenvalues) when the two timescales
     differ; consumers clamp at zero before taking fractional powers.
     """
-    m1 = state.m1
-    sq = np.outer(m1, m1) if state.mode is MetricShape.FULL else m1 * m1
-    return np.subtract(state.m2, sq, out=sq)
+    m1, m2 = state.m1, state.m2
+    sq = np.multiply.outer(m1, m1) if m2.ndim == 2 else m1 * m1
+    return np.subtract(m2, sq, out=sq)
 
 
 __all__ = [

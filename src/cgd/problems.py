@@ -29,7 +29,7 @@ def rosenbrock_loss(q: NDArray[np.float64]) -> float:
     if q.shape[0] < 2:
         raise ValueError("dim: rosenbrock needs at least 2 dimensions")
     head, tail = q[:-1], q[1:]
-    return float(np.sum((1.0 - head) ** 2 + 100.0 * (tail - head**2) ** 2))
+    return float(np.add.reduce((1.0 - head) ** 2 + 100.0 * (tail - head**2) ** 2))
 
 
 def rosenbrock_grad(q: NDArray[np.float64]) -> NDArray[np.float64]:
@@ -37,9 +37,12 @@ def rosenbrock_grad(q: NDArray[np.float64]) -> NDArray[np.float64]:
     if q.shape[0] < 2:
         raise ValueError("dim: rosenbrock needs at least 2 dimensions")
     head, tail = q[:-1], q[1:]
-    grad = np.zeros_like(q)
-    grad[:-1] += -2.0 * (1.0 - head) - 400.0 * head * (tail - head**2)
-    grad[1:] += 200.0 * (tail - head**2)
+    valley = tail - head**2
+    # accumulate onto zeros, so a -0.0 term reads +0.0 as in the textbook sum
+    grad = np.zeros(q.shape)
+    lower, upper = grad[:-1], grad[1:]
+    lower += -2.0 * (1.0 - head) - 400.0 * head * valley
+    upper += 200.0 * valley
     return grad
 
 

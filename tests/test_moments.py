@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,15 @@ def test_ema_tau_zero_returns_sample_bitwise():
     prev = np.array([3.7, -1.2])
     sample = np.array([0.1234567890123456, 7.7e-13])
     assert np.array_equal(ema_update(prev, sample, 0.0), sample)
+    # prev is not read: adding prev * 0 would turn a -0.0 sample into 0.0
+    # and an infinite prev into NaN
+    assert math.copysign(1.0, ema_update(5.0, -0.0, 0.0)) == -1.0
+    assert ema_update(math.inf, 1.0, 0.0) == 1.0
+    prev = np.array([math.inf, 5.0, math.nan])
+    sample = np.array([1.0, -0.0, 2.0])
+    out = ema_update(prev, sample, 0.0)
+    assert out.tobytes() == sample.tobytes()
+    assert out is not sample
 
 
 def test_ema_fixed_point():
@@ -86,6 +97,16 @@ def test_update_with_zero_timescales_replaces_state():
 
     st_d = update_moments(MomentState.initial(2, MetricShape.DIAGONAL), g, ts)
     assert np.array_equal(st_d.m2, g * g)
+
+    # both modes follow ema_update at tau == 0, bit for bit: the -0.0 entries
+    # of g and of g g^T survive, and a non-finite old moment leaves no trace
+    g = np.array([-0.0, 2.0])
+    for shape, m2 in ((MetricShape.DIAGONAL, np.array([math.inf, 1.0])),
+                      (MetricShape.FULL, np.full((2, 2), math.nan))):
+        st = update_moments(MomentState(np.array([math.inf, 0.0]), m2), g, ts)
+        assert st.m1.tobytes() == g.tobytes()
+        expected = g * g if shape is MetricShape.DIAGONAL else np.multiply.outer(g, g)
+        assert st.m2.tobytes() == expected.tobytes()
 
 
 def test_update_sequence_matches_manual_recursion():

@@ -41,6 +41,35 @@ def test_rosenbrock_generalizes_to_higher_dim():
     assert np.allclose(g, fd, atol=1e-6)
 
 
+def _textbook_rosenbrock(q):
+    """Loss and gradient from the per-pair formulas in plain Python floats,
+    each gradient entry summed onto 0.0; numpy's sum adds the loss terms."""
+    q = q.tolist()
+    terms, grad = [], [0.0] * len(q)
+    for i, (x, y) in enumerate(zip(q[:-1], q[1:])):
+        slope, valley = 1.0 - x, y - x * x
+        terms.append(slope * slope + 100.0 * (valley * valley))
+        grad[i] += -2.0 * slope - 400.0 * x * valley
+        grad[i + 1] += 200.0 * valley
+    return float(np.sum(terms)), np.array(grad)
+
+
+def test_rosenbrock_is_bitwise_the_textbook_formulas():
+    # 10^4 points, half at d = 2 and half at d in 3..50; a quarter of the
+    # coordinates are 0.0, -0.0, 1.0 or -1.0, where terms are exactly zero
+    # and only the order of operations fixes the sign of a zero entry
+    rng = np.random.default_rng(21)
+    special = np.array([0.0, -0.0, 1.0, -1.0])
+    for n in range(10_000):
+        d = 2 if n % 2 else int(rng.integers(3, 51))
+        q = rng.standard_normal(d) * 10.0 ** rng.integers(-3, 3)
+        pick = rng.random(d) < 0.25
+        q[pick] = rng.choice(special, pick.sum())
+        loss, grad = _textbook_rosenbrock(q)
+        assert rosenbrock_loss(q).hex() == loss.hex(), q
+        assert rosenbrock_grad(q).tobytes() == grad.tobytes(), q
+
+
 def test_rosenbrock_rejects_scalar_problems():
     with pytest.raises(ValueError, match="^dim: "):
         rosenbrock_loss(np.array([1.0]))
