@@ -4,7 +4,9 @@ The optimizer maintains exponential moving averages of the gradient and of
 its second-moment statistic, builds an inverse metric (eps*I + clamp0(C))^(-a)
 from the latter, and steps against the first moment mapped through it. Classical
 methods fall out as exact corners of the configuration space; `preset` names
-them. The harness runs the two bundled benchmarks and writes CSV trajectories.
+them as ``CgdConfig`` records, and `initial_state` and `step` make and advance
+an ``OptimizerState`` (both in ``cgd.optimizer``). The harness runs the two
+bundled benchmarks and writes CSV trajectories.
 
 The layers below the API re-exported here are importable as submodules:
 ``cgd.linalg``, ``cgd.moments``, ``cgd.metric``, ``cgd.optimizer``,

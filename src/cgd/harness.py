@@ -24,7 +24,8 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 from numpy.typing import NDArray
 
-from .moments import MetricShape, ema_update
+from .metric import MetricShape
+from .moments import ema_update
 from .optimizer import (PRESET_NAMES, CgdConfig, initial_state, normalize_preset_name,
                         preset, step)
 from .problems import MultiplyProblem, RosenbrockProblem, finite_diff_grad
@@ -107,7 +108,7 @@ class ExperimentConfig:
         opt = self.optimizer_config()
         # frozen dataclass: the canonical name replaces the one given
         object.__setattr__(self, "optimizer", normalize_preset_name(self.optimizer))
-        if self.eig_track_k > 0 and opt.metric.shape is not MetricShape.FULL:
+        if self.eig_track_k > 0 and opt.shape is not MetricShape.FULL:
             raise ConfigError("eig_track_k: requires a full-matrix metric (cgd_full)")
 
     def build_problem(self):
@@ -122,11 +123,10 @@ class ExperimentConfig:
             raise ConfigError(str(exc)) from None
 
     def optimizer_config(self) -> CgdConfig:
-        keys = ("gamma", "tau1", "tau2", "power", "eps", "statistic")
-        tuned = {key: getattr(self, key) for key in keys if getattr(self, key) is not None}
         try:
-            return preset(self.optimizer, context=self.problem,
-                          metric_update_interval=self.metric_update_interval, **tuned)
+            return preset(self.optimizer, context=self.problem, gamma=self.gamma, tau1=self.tau1,
+                          tau2=self.tau2, power=self.power, eps=self.eps, statistic=self.statistic,
+                          metric_update_interval=self.metric_update_interval)
         except ValueError as exc:  # each field check names its field first
             raise ConfigError(str(exc)) from exc
 

@@ -1,8 +1,8 @@
 """Inverse-metric construction from moment statistics.
 
 The metric is ``(eps*I + clamp0(S))^power`` where S is either the raw
-second moment or the covariance, tracked by the moment state as its
-diagonal or as a full matrix. The optimizer applies the inverse, i.e. the
+second moment or the covariance (the statistic), tracked as its diagonal or
+as a full matrix (the shape). The optimizer applies the inverse, i.e. the
 ``-power`` operator, to a force vector. ``power = 0`` yields the identity
 (plain gradient descent); ``power = 0.5`` on the diagonal second moment is
 the familiar root-mean-square normalization.
@@ -16,31 +16,19 @@ from enum import Enum
 import numpy as np
 
 from . import linalg
-from .moments import MetricShape, MomentState, _member, covariance
+from .moments import covariance
+
+
+class MetricShape(str, Enum):
+    """How the second moment is stored, and so the metric's shape: d-vector or d x d."""
+
+    DIAGONAL = "diagonal"
+    FULL = "full"
 
 
 class MetricStatistic(str, Enum):
     SECOND_MOMENT = "second_moment"
     COVARIANCE = "covariance"
-
-
-@dataclass(frozen=True)
-class MetricSpec:
-    """Shape, statistic, power and regularizer defining the metric."""
-
-    shape: MetricShape
-    statistic: MetricStatistic
-    power: float
-    eps: float = 1e-8
-
-    def __post_init__(self):
-        object.__setattr__(self, "shape", _member(MetricShape, "shape", self.shape))
-        statistic = _member(MetricStatistic, "statistic", self.statistic)
-        object.__setattr__(self, "statistic", statistic)
-        if not np.isfinite(self.power):
-            raise ValueError(f"power: must be finite, got {self.power}")
-        if not (np.isfinite(self.eps) and self.eps > 0.0):
-            raise ValueError(f"eps: must be finite and > 0, got {self.eps}")
 
 
 @dataclass(frozen=True)
@@ -67,35 +55,37 @@ class InverseMetricOperator:
         return self.factorization.apply(self.weights, force)
 
 
-def build_inverse_metric(state: MomentState, spec: MetricSpec) -> InverseMetricOperator:
-    """Compute the inverse-metric operator for the current statistics.
+def build_inverse_metric(m1, m2, cfg) -> InverseMetricOperator:
+    """Compute the inverse-metric operator for the current moments.
 
-    Eigenvalues (full) or entries (diagonal) are clamped at zero before eps
-    is added, keeping the operator symmetric positive definite even for an
-    indefinite covariance. The state must be stored in the metric's shape,
-    or a ``ValueError`` names the state's mode: a diagonal state never
-    tracked the off-diagonal entries, and a full state is not cut down to
-    its diagonal.
+    ``cfg``, a :class:`cgd.optimizer.CgdConfig`, gives the metric's shape,
+    statistic, power and eps. Eigenvalues (full) or entries (diagonal) are
+    clamped at zero before eps is added, keeping the operator symmetric
+    positive definite even for an indefinite covariance. ``m2`` must be a
+    vector for a diagonal metric and a matrix for a full one, or a
+    ``ValueError`` names it: a vector never tracked the off-diagonal
+    entries, and a matrix is not cut down to its diagonal.
     """
-    if state.mode is not spec.shape:
-        raise ValueError(f"state: a {state.mode.value}-mode state cannot feed a "
-                         f"{spec.shape.value} metric")
-    centered = spec.statistic is MetricStatistic.COVARIANCE
-    stat = covariance(state) if centered else state.m2
+    full = cfg.shape is MetricShape.FULL
+    if m2.ndim != (2 if full else 1):
+        raise ValueError(f"m2: a {m2.ndim}-d second moment cannot feed a "
+                         f"{cfg.shape.value} metric")
+    centered = cfg.statistic is MetricStatistic.COVARIANCE
+    stat = covariance(m1, m2) if centered else m2
     factorization = None
-    if spec.shape is MetricShape.FULL:
-        # the covariance was built for this call alone; m2 belongs to the state
+    if full:
+        # the covariance was built for this call alone; m2 belongs to the caller
         factorization = linalg.eigendecompose(stat, overwrite_a=centered)
         stat = factorization.eigenvalues
     weights = np.maximum(stat, 0.0)
-    weights += spec.eps
-    weights **= -spec.power
+    weights += cfg.eps
+    weights **= -cfg.power
     return InverseMetricOperator(weights, factorization)
 
 
 __all__ = [
+    "MetricShape",
     "MetricStatistic",
-    "MetricSpec",
     "InverseMetricOperator",
     "build_inverse_metric",
 ]

@@ -6,7 +6,7 @@ through the inverse metric,
 
     q  <-  q - gamma * (eps*I + clamp0(S))^(-power) @ m1,
 
-where S is the tracked second-moment statistic selected by the metric spec.
+where S is the tracked second-moment statistic selected by the config.
 Specific corners of the configuration space reproduce classical optimizers
 exactly (see :func:`preset`): plain SGD at power 0, RMSProp/Adam on the
 diagonal second moment at power 1/2, the variance-based diagonal form, and
@@ -21,17 +21,34 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from enum import Enum
 
 import numpy as np
 
-from .metric import InverseMetricOperator, MetricSpec, MetricStatistic, build_inverse_metric
-from .moments import MetricShape, MomentState, Timescales, update_moments
+from .metric import InverseMetricOperator, MetricShape, MetricStatistic, build_inverse_metric
+from .moments import update_moments
+
+
+def _member(enum: type[Enum], key: str, value) -> Enum:
+    """``value`` as a member of a string enum; a ValueError naming ``key`` otherwise."""
+    expected = tuple(member.value for member in enum)
+    if value not in expected:
+        raise ValueError(f"{key}: expected one of {expected}, got {value!r}")
+    return enum(value)
+
+
+# each float setting, and the lower bound it must keep besides being finite
+_FLOAT_BOUNDS = {"gamma": "> 0", "tau1": ">= 0", "tau2": ">= 0", "power": "", "eps": "> 0"}
 
 
 @dataclass(frozen=True)
 class CgdConfig:
-    """Everything a step needs: learning rate, timescales, metric spec.
+    """Everything a step needs: the learning rate ``gamma``, the EMA memory
+    lengths ``tau1`` and ``tau2`` of the first and second moment (in steps),
+    and the metric: its ``shape`` and ``statistic`` (members or their string
+    values), ``power`` and ``eps``. A float setting takes any real number but
+    a bool and is stored as a float; a bad value is a ValueError naming it.
 
     ``metric_update_interval`` = N builds the full-metric operator at steps
     1, N + 1, 2N + 1, ... and applies each for N steps. Only the O(d^3)
@@ -40,13 +57,31 @@ class CgdConfig:
     """
 
     gamma: float
-    timescales: Timescales
-    metric: MetricSpec
+    tau1: float
+    tau2: float
+    shape: MetricShape
+    statistic: MetricStatistic
+    power: float
+    eps: float = 1e-8
     metric_update_interval: int = 1
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma) and self.gamma > 0.0):
-            raise ValueError(f"gamma: must be finite and > 0, got {self.gamma}")
+        for name, bound in _FLOAT_BOUNDS.items():
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name}: must be a number, got {value!r}")
+            try:
+                number = float(value)
+            except OverflowError:  # an integer past the float range
+                number = math.inf
+            in_range = {"> 0": number > 0.0, ">= 0": number >= 0.0, "": True}[bound]
+            if not (math.isfinite(number) and in_range):
+                rule = f"finite and {bound}" if bound else "finite"
+                raise ValueError(f"{name}: must be {rule}, got {value}")
+            object.__setattr__(self, name, number)
+        object.__setattr__(self, "shape", _member(MetricShape, "shape", self.shape))
+        object.__setattr__(self, "statistic",
+                           _member(MetricStatistic, "statistic", self.statistic))
         interval = self.metric_update_interval
         if (isinstance(interval, bool) or not isinstance(interval, numbers.Integral)
                 or interval < 1):
@@ -55,8 +90,10 @@ class CgdConfig:
 
 @dataclass(frozen=True)
 class OptimizerState:
-    """Parameters plus moment statistics; treated as an immutable value.
+    """Parameters, moments and step count; treated as an immutable value.
 
+    The first moment ``m1`` is a d-vector; the second moment ``m2`` is a
+    d-vector for a diagonal metric and a d x d matrix for a full one.
     ``precond`` is the operator the next step applies in place of building
     one, whatever config it is given, so a state belongs to the config that
     made it: a full-metric step keeps its operator only when its interval
@@ -66,16 +103,23 @@ class OptimizerState:
     """
 
     params: np.ndarray
-    moments: MomentState
+    m1: np.ndarray
+    m2: np.ndarray
+    step: int = 0
     precond: InverseMetricOperator | None = None
     spectrum: np.ndarray | None = None
 
 
 def initial_state(params, cfg: CgdConfig) -> OptimizerState:
-    """Fresh optimizer state for the given starting parameters."""
+    """Fresh state at the vector ``params``: m1 = 0, m2 = I (ones if diagonal)."""
     params = np.asarray(params, dtype=np.float64)
-    moments = MomentState.initial(params.shape[0], cfg.metric.shape)
-    return OptimizerState(params=params, moments=moments)
+    if params.ndim != 1:
+        raise ValueError(f"params: must be a vector, got an array of shape {params.shape}")
+    dim = params.shape[0]
+    if dim < 1:
+        raise ValueError(f"dim: must be >= 1, got {dim}")
+    m2 = np.eye(dim) if cfg.shape is MetricShape.FULL else np.ones(dim)
+    return OptimizerState(params, np.zeros(dim), m2)
 
 
 def step(state: OptimizerState, grad, cfg: CgdConfig) -> OptimizerState:
@@ -87,15 +131,16 @@ def step(state: OptimizerState, grad, cfg: CgdConfig) -> OptimizerState:
     move, so the force is the up-to-date first moment. The operator is the
     one ``state`` carries, or a fresh build when it carries none.
     """
-    moments = update_moments(state.moments, grad, cfg.timescales)
+    m1, m2 = update_moments(state.m1, state.m2, grad, cfg)
+    t = state.step + 1
     operator = state.precond
     if operator is None:
-        operator = build_inverse_metric(moments, cfg.metric)
-    carry = cfg.metric.shape is MetricShape.FULL and moments.step % cfg.metric_update_interval
+        operator = build_inverse_metric(m1, m2, cfg)
+    carry = cfg.shape is MetricShape.FULL and t % cfg.metric_update_interval
 
-    direction = operator.apply(moments.m1)
+    direction = operator.apply(m1)
     # positional: a frozen dataclass takes keywords measurably slower
-    return OptimizerState(state.params - cfg.gamma * direction, moments,
+    return OptimizerState(state.params - cfg.gamma * direction, m1, m2, t,
                           operator if carry else None, operator.eigenvalues)
 
 
@@ -141,44 +186,32 @@ def normalize_preset_name(name: str) -> str:
     return key
 
 
-def preset(
-    name: str,
-    gamma: float | None = None,
-    *,
-    context: str = "rosenbrock",
-    tau1: float | None = None,
-    tau2: float | None = None,
-    power: float | None = None,
-    eps: float = MetricSpec.eps,
-    statistic: MetricStatistic | str | None = None,
-    metric_update_interval: int = 1,
-) -> CgdConfig:
+# what preset() lets a caller change; an override left as None keeps the tuned value
+_OVERRIDES = ("gamma", "tau1", "tau2", "power", "eps", "statistic", "metric_update_interval")
+
+
+def preset(name: str, *, context: str = "rosenbrock", **overrides) -> CgdConfig:
     """Build a named optimizer configuration.
 
     ``context`` selects the benchmark whose tuned hyperparameters back the
-    defaults ("rosenbrock" or "multiply"); any of gamma/tau1/tau2/power may
-    be overridden individually. ``statistic`` swaps the second-moment source
-    (raw vs centered) without changing anything else; every preset accepts
-    either, and left as None it is the preset's own (raw for sgd, rmsprop and
-    adam, centered for the rest).
+    defaults ("rosenbrock" or "multiply"). Each of gamma, tau1, tau2, power,
+    eps, statistic and metric_update_interval may be overridden
+    individually; one given as None keeps the tuned value. ``statistic``
+    swaps the second-moment source (raw vs centered) without changing
+    anything else; the preset's own is raw for sgd, rmsprop and adam and
+    centered for the rest. The preset fixes the metric's shape, so ``shape``
+    is refused like any other unknown key, with a ValueError naming it.
     """
+    unknown = sorted(set(overrides) - set(_OVERRIDES))
+    if unknown:
+        raise ValueError(f"{', '.join(unknown)}: not a preset override; "
+                         f"expected one of {_OVERRIDES}")
     key = normalize_preset_name(name)
     if context not in HYPERPARAMETERS:
         raise ValueError(f"context: expected one of {tuple(HYPERPARAMETERS)}, got {context!r}")
-    g0, t1, t2, a0 = HYPERPARAMETERS[context][key]
-    shape, stat = _PRESET_METRICS[key]
-    spec = MetricSpec(
-        shape=shape,
-        statistic=stat if statistic is None else statistic,
-        power=a0 if power is None else power,
-        eps=eps,
-    )
-    return CgdConfig(
-        gamma=g0 if gamma is None else gamma,
-        timescales=Timescales(t1 if tau1 is None else tau1, t2 if tau2 is None else tau2),
-        metric=spec,
-        metric_update_interval=metric_update_interval,
-    )
+    gamma, tau1, tau2, power = HYPERPARAMETERS[context][key]
+    tuned = CgdConfig(gamma, tau1, tau2, *_PRESET_METRICS[key], power)
+    return replace(tuned, **{k: v for k, v in overrides.items() if v is not None})
 
 
 __all__ = [

@@ -31,8 +31,8 @@ import pytest
 
 from cgd.harness import ExperimentConfig, TAU_PLOT, gradcheck, run_experiment, write_csv
 from cgd.linalg import eigendecompose
-from cgd.metric import MetricSpec, MetricStatistic, build_inverse_metric
-from cgd.moments import MetricShape, MomentState, Timescales, ema_update, update_moments
+from cgd.metric import MetricStatistic, build_inverse_metric
+from cgd.moments import ema_update, update_moments
 from cgd.optimizer import CgdConfig, HYPERPARAMETERS, initial_state, preset, step
 from cgd.problems import rosenbrock_grad
 from reference_optimizers import (
@@ -225,7 +225,7 @@ def test_rosenbrock_smoothed_loss_monotonicity(rosenbrock_runs):
     covariance_presets = [
         name
         for name in ROSENBROCK_PRESETS
-        if preset(name).metric.statistic is MetricStatistic.COVARIANCE
+        if preset(name).statistic is MetricStatistic.COVARIANCE
     ]
     ok = all(rates[name] <= 0.05 for name in covariance_presets)
     assert _verdict("rosenbrock smoothed monotonicity", ok), rates
@@ -377,9 +377,9 @@ def test_property_suite(tmp_path):
     b = rng.standard_normal((6, 6))
     spd = b @ b.T + 0.1 * np.eye(6)
     spd = (spd + spd.T) / 2.0
-    ms = MomentState(m1=np.zeros(6), m2=spd, step=1)
     op03, op04, op07 = (
-        build_inverse_metric(ms, MetricSpec("full", "second_moment", power))
+        build_inverse_metric(np.zeros(6), spd,
+                             CgdConfig(1.0, 0.0, 0.0, "full", "second_moment", power))
         for power in (0.3, 0.4, 0.7)
     )
     for x in np.eye(6):
@@ -391,11 +391,8 @@ def test_property_suite(tmp_path):
     h = c @ c.T + 0.5 * np.eye(5)
     rot, _ = np.linalg.qr(rng.standard_normal((5, 5)))
     h_rot = rot @ h @ rot.T
-    cfg = CgdConfig(
-        gamma=0.05,
-        timescales=Timescales(17.1, 15.3),
-        metric=MetricSpec("full", "covariance", 0.4),
-    )
+    cfg = CgdConfig(gamma=0.05, tau1=17.1, tau2=15.3, shape="full", statistic="covariance",
+                    power=0.4)
     q0 = rng.standard_normal(5)
     plain = initial_state(q0, cfg)
     rotated = initial_state(rot @ q0, cfg)
@@ -405,11 +402,11 @@ def test_property_suite(tmp_path):
         assert np.max(np.abs(rotated.params - rot @ plain.params)) <= 1e-8
 
     # the inverse metric stays strictly positive definite
-    ts = Timescales(3.0, 25.0)
-    ms = MomentState.initial(5, MetricShape.FULL)
+    cfg = CgdConfig(1.0, 3.0, 25.0, "full", "covariance", 0.39)
+    ms = (np.zeros(5), np.eye(5))
     for _ in range(8):
-        ms = update_moments(ms, rng.standard_normal(5), ts)
-    op = build_inverse_metric(ms, MetricSpec("full", "covariance", 0.39))
+        ms = update_moments(*ms, rng.standard_normal(5), cfg)
+    op = build_inverse_metric(*ms, cfg)
     assert np.all(op.weights > 0.0)
     for _ in range(10):
         x = rng.standard_normal(5)

@@ -27,9 +27,9 @@ from cgd.harness import (
     track_eigenvalues,
     write_csv,
 )
-from cgd.metric import MetricSpec, build_inverse_metric
-from cgd.moments import MetricShape, MomentState, Timescales, covariance, update_moments
-from cgd.optimizer import PRESET_NAMES, step
+from cgd.metric import build_inverse_metric
+from cgd.moments import covariance, update_moments
+from cgd.optimizer import PRESET_NAMES, CgdConfig, initial_state, preset, step
 from cgd.problems import (MultiplyProblem, RosenbrockProblem, rosenbrock_grad, rosenbrock_loss,
                           sample_batch)
 
@@ -378,27 +378,29 @@ def test_heap_setting_is_a_no_op_off_glibc(monkeypatch, fresh_heap_setting, erro
 # --- eigenvalue tracking ----------------------------------------------------
 
 
-def _full_spectrum(moments):
-    """The raw spectrum a full covariance metric built from ``moments`` carries."""
-    spec = MetricSpec(MetricShape.FULL, "covariance", power=0.5)
-    return build_inverse_metric(moments, spec).eigenvalues
+# a full covariance metric, its moments replaced by each gradient (tau1 = tau2 = 0)
+FULL_COVARIANCE = CgdConfig(1.0, 0.0, 0.0, "full", "covariance", 0.5)
+
+
+def _full_spectrum(m1, m2):
+    """The raw spectrum a full covariance metric built from the moments carries."""
+    return build_inverse_metric(m1, m2, FULL_COVARIANCE).eigenvalues
 
 
 def test_track_eigenvalues_fresh_state_is_identity():
-    st = MomentState.initial(5, MetricShape.FULL)
-    assert np.array_equal(track_eigenvalues(_full_spectrum(st), 3), np.ones(3))
+    st = initial_state(np.zeros(5), FULL_COVARIANCE)
+    assert np.array_equal(track_eigenvalues(_full_spectrum(st.m1, st.m2), 3), np.ones(3))
 
 
 def test_track_eigenvalues_zero_variance_limit():
     g = np.array([1.5, -2.0, 0.5])
-    st = update_moments(MomentState.initial(3, MetricShape.FULL), g, Timescales(0.0, 0.0))
-    assert np.array_equal(track_eigenvalues(_full_spectrum(st), 3), np.zeros(3))
+    moments = update_moments(np.zeros(3), np.eye(3), g, FULL_COVARIANCE)
+    assert np.array_equal(track_eigenvalues(_full_spectrum(*moments), 3), np.zeros(3))
 
 
 def test_track_eigenvalues_rank_one():
     v = np.array([1.0, 2.0, -2.0])
-    st = MomentState(m1=np.zeros(3), m2=np.outer(v, v), step=1)
-    eigs = track_eigenvalues(_full_spectrum(st), 3)
+    eigs = track_eigenvalues(_full_spectrum(np.zeros(3), np.outer(v, v)), 3)
     assert abs(eigs[0] - 9.0) < 1e-12  # ||v||^2
     assert np.all(np.abs(eigs[1:]) < 1e-12)
     assert np.all(np.diff(eigs) <= 1e-12)  # descending
@@ -473,9 +475,9 @@ def test_second_moment_metric_tracks_m2_eigenvalues():
     # raw second moment the metric decomposed and the covariance have
     # different spectra
     g = rosenbrock_grad(np.array([0.0, 0.5]))
-    st = update_moments(MomentState.initial(2, MetricShape.FULL), g, Timescales(10.9, 9.46))
-    m2_top = np.maximum(np.linalg.eigh(st.m2)[0], 0.0)[::-1]
-    cov_top = np.maximum(np.linalg.eigvalsh(covariance(st)), 0.0)[::-1]
+    m1, m2 = update_moments(np.zeros(2), np.eye(2), g, preset("cgd_full"))
+    m2_top = np.maximum(np.linalg.eigh(m2)[0], 0.0)[::-1]
+    cov_top = np.maximum(np.linalg.eigvalsh(covariance(m1, m2)), 0.0)[::-1]
     assert np.array_equal(rec.eigenvalues[0], m2_top)
     assert not np.allclose(rec.eigenvalues[0], cov_top, rtol=1e-3)
 

@@ -9,13 +9,18 @@ import pytest
 
 from cgd import linalg
 from cgd.linalg import TRIDIAGONAL_MIN_DIM, EigenDecomposition, eigendecompose
-from cgd.metric import MetricSpec, build_inverse_metric
-from cgd.moments import MomentState
+from cgd.metric import build_inverse_metric
+from cgd.optimizer import CgdConfig
 
 
 def random_symmetric(rng, d, scale=1.0):
     a = rng.standard_normal((d, d)) * scale
     return (a + a.T) / 2.0
+
+
+def metric(shape, statistic, power, eps=1e-8):
+    """A config with the given metric; only the metric plays a part in a build."""
+    return CgdConfig(1.0, 0.0, 0.0, shape, statistic, power, eps)
 
 
 def dense_product(dec, weights):
@@ -85,8 +90,8 @@ def test_rejects_bad_input():
 def test_clamp_happens_before_shift():
     # eigenvalue -0.5 clamps to 0, then eps=1 shifts to 1: unit weight on
     # that eigendirection, (1.5)^(-0.5) on the other
-    state = MomentState(m1=np.zeros(2), m2=np.array([[0.0, 0.5], [0.5, 0.0]]), step=1)
-    op = build_inverse_metric(state, MetricSpec("full", "second_moment", 0.5, eps=1.0))
+    m2 = np.array([[0.0, 0.5], [0.5, 0.0]])
+    op = build_inverse_metric(np.zeros(2), m2, metric("full", "second_moment", 0.5, eps=1.0))
     minus = np.array([1.0, -1.0]) / np.sqrt(2.0)  # eigenvector of -0.5
     plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
     assert np.allclose(op.apply(minus), minus, atol=1e-12)
@@ -94,8 +99,8 @@ def test_clamp_happens_before_shift():
 
 
 def test_power_zero_is_identity_bitwise():
-    state = MomentState(m1=np.zeros(3), m2=np.array([4.0, 0.5, 7.0]), step=1)
-    op = build_inverse_metric(state, MetricSpec("diagonal", "second_moment", 0.0, eps=1e-8))
+    op = build_inverse_metric(np.zeros(3), np.array([4.0, 0.5, 7.0]),
+                              metric("diagonal", "second_moment", 0.0, eps=1e-8))
     f = np.array([0.123456789, -9.87654321e3, 1e-12])
     assert np.array_equal(op.apply(f), f)
 
@@ -246,11 +251,12 @@ def test_overwrite_copies_a_read_only_input():
     assert np.array_equal(dec.eigenvalues, np.linalg.eigh(before)[0])
 
 
-def _moment_state(d, seed):
+def _moments(d, seed):
+    """(m1, m2) with a rank-deficient, exactly symmetric d x d second moment."""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((d, d // 2))
     m2 = g @ g.T / d
-    return MomentState(m1=rng.standard_normal(d) * 0.1, m2=(m2 + m2.T) / 2.0, step=3)
+    return rng.standard_normal(d) * 0.1, (m2 + m2.T) / 2.0
 
 
 @tridiagonal
@@ -259,12 +265,12 @@ def test_covariance_build_peaks_below_four_matrices():
     # copy of the covariance for dsytrd would be a fourth d x d array, and a
     # separate dsytrd workspace (d x 32) kept alive under dstedc's a quarter
     d = 128
-    state = _moment_state(d, 7)
-    spec = MetricSpec("full", "covariance", 0.4)
-    build_inverse_metric(state, spec)  # binds LAPACK
+    moments = _moments(d, 7)
+    cfg = metric("full", "covariance", 0.4)
+    build_inverse_metric(*moments, cfg)  # binds LAPACK
     tracemalloc.start()
     try:
-        build_inverse_metric(state, spec)
+        build_inverse_metric(*moments, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -272,9 +278,9 @@ def test_covariance_build_peaks_below_four_matrices():
 
 
 def test_second_moment_build_leaves_m2_unchanged():
-    # a second-moment metric decomposes the state's own m2, which it must copy
-    state = _moment_state(100, 8)
-    m2 = state.m2.copy()
-    op = build_inverse_metric(state, MetricSpec("full", "second_moment", 0.4))
-    assert state.m2.tobytes() == m2.tobytes()
-    assert np.array_equal(op.eigenvalues, np.linalg.eigh(m2)[0])
+    # a second-moment metric decomposes the caller's own m2, which it must copy
+    m1, m2 = _moments(100, 8)
+    before = m2.copy()
+    op = build_inverse_metric(m1, m2, metric("full", "second_moment", 0.4))
+    assert m2.tobytes() == before.tobytes()
+    assert np.array_equal(op.eigenvalues, np.linalg.eigh(before)[0])

@@ -1,11 +1,12 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from cgd import linalg
-from cgd.metric import MetricSpec, MetricStatistic, build_inverse_metric
-from cgd.moments import MetricShape, MomentState, Timescales, update_moments
+from cgd.metric import MetricShape, MetricStatistic, build_inverse_metric
+from cgd.moments import update_moments
 from cgd.optimizer import (
     HYPERPARAMETERS,
     PRESET_NAMES,
@@ -37,17 +38,19 @@ def run_preset(name, steps, context="rosenbrock", **kw):
 
 
 def test_config_validation():
-    spec = MetricSpec("diagonal", "second_moment", 0.5)
+    metric = dict(shape="diagonal", statistic="second_moment", power=0.5)
     with pytest.raises(ValueError):
-        CgdConfig(gamma=0.0, timescales=Timescales(0.0, 0.0), metric=spec)
+        CgdConfig(gamma=0.0, tau1=0.0, tau2=0.0, **metric)
     with pytest.raises(ValueError):
-        CgdConfig(gamma=0.1, timescales=Timescales(0.0, 0.0), metric=spec,
-                  metric_update_interval=0)
+        CgdConfig(gamma=0.1, tau1=0.0, tau2=0.0, **metric, metric_update_interval=0)
     # an interval of 1.5 would refresh at steps 1, 4, 7, ...: a float or a bool is refused
     for interval in (1.5, 2.0, True):
         with pytest.raises(ValueError, match="^metric_update_interval: must be an integer"):
             preset("cgd_full", metric_update_interval=interval)
     assert preset("cgd_full", metric_update_interval=np.int64(2)).metric_update_interval == 2
+    # an integer past the float range is refused like infinity, not with OverflowError
+    with pytest.raises(ValueError, match="^gamma: must be finite and > 0"):
+        preset("adam", gamma=10**400)
 
 
 def test_preset_tables():
@@ -64,27 +67,60 @@ def test_preset_tables():
             cfg = preset(name, context=context)
             g, t1, t2, a = HYPERPARAMETERS[context][name]
             assert cfg.gamma == g
-            assert cfg.timescales == Timescales(t1, t2)
-            assert cfg.metric.power == a
-            assert cfg.metric.eps == 1e-8
-            assert (cfg.metric.shape, cfg.metric.statistic) == expected_shapes[name]
+            assert (cfg.tau1, cfg.tau2) == (t1, t2)
+            assert cfg.power == a
+            assert cfg.eps == 1e-8
+            assert (cfg.shape, cfg.statistic) == expected_shapes[name]
 
 
 def test_preset_spot_values():
     cfg = preset("adam", context="rosenbrock")
-    assert (cfg.gamma, cfg.timescales.tau1, cfg.timescales.tau2) == (0.0822, 9.0, 999.0)
+    assert (cfg.gamma, cfg.tau1, cfg.tau2) == (0.0822, 9.0, 999.0)
     cfg = preset("cgd_full", context="multiply")
-    assert (cfg.gamma, cfg.metric.power) == (0.0512, 0.40)
+    assert (cfg.gamma, cfg.power) == (0.0512, 0.40)
 
 
 def test_preset_overrides_and_aliases():
     cfg = preset("cgd-diag", gamma=0.5, tau1=1.0, power=0.1, context="multiply")
     assert cfg.gamma == 0.5
-    assert cfg.timescales.tau1 == 1.0
-    assert cfg.timescales.tau2 == 12.3  # untouched table value
-    assert cfg.metric.power == 0.1
+    assert cfg.tau1 == 1.0
+    assert cfg.tau2 == 12.3  # untouched table value
+    assert cfg.power == 0.1
     swapped = preset("cgd_diagonal", statistic="second_moment")
-    assert swapped.metric.statistic is MetricStatistic.SECOND_MOMENT
+    assert swapped.statistic is MetricStatistic.SECOND_MOMENT
+
+
+@pytest.mark.parametrize("key", ["gamma", "tau1", "tau2", "power", "eps"])
+@pytest.mark.parametrize("value", ["0.1", "x", True, False, None, 1j, [0.1]])
+def test_config_refuses_a_float_setting_that_is_not_a_real_number(key, value):
+    # a string, a bool, a complex number or a list is a ValueError naming the
+    # setting, like any other bad value; None reaches CgdConfig directly only
+    settings = dict(gamma=0.1, tau1=1.0, tau2=2.0, shape="full", statistic="covariance",
+                    power=0.5, eps=1e-8)
+    message = re.escape(f"{key}: must be a number, got {value!r}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        CgdConfig(**{**settings, key: value})
+    if value is not None:
+        with pytest.raises(ValueError, match=f"^{key}: must be a number"):
+            preset("adam", **{key: value})
+
+
+def test_preset_refuses_a_key_it_does_not_override():
+    # the preset fixes the metric's shape, so shape is not an override either
+    for key in ("shape", "beta1", "timescales"):
+        with pytest.raises(ValueError, match=f"^{key}: not a preset override"):
+            preset("adam", **{key: "full"})
+    with pytest.raises(ValueError, match="^beta1, shape: not a preset override"):
+        preset("cgd_full", shape="diagonal", beta1=0.9)
+
+
+def test_preset_override_of_none_keeps_the_tuned_value():
+    keys = ("gamma", "tau1", "tau2", "power", "eps", "statistic", "metric_update_interval")
+    for context in ("rosenbrock", "multiply"):
+        for name in PRESET_NAMES:
+            assert preset(name, context=context, gamma=None) == preset(name, context=context)
+            unset = dict.fromkeys(keys)
+            assert preset(name, context=context, **unset) == preset(name, context=context)
 
 
 def test_unknown_preset_and_context():
@@ -127,9 +163,21 @@ def test_doubling_gamma_doubles_first_displacement():
 
 def test_initial_state_mode_follows_metric_shape():
     full_cfg = preset("cgd_full")
-    assert initial_state(Q0, full_cfg).moments.mode is MetricShape.FULL
+    assert full_cfg.shape is MetricShape.FULL
+    assert initial_state(Q0, full_cfg).m2.ndim == 2
     diag_cfg = preset("cgd_diagonal")
-    assert initial_state(Q0, diag_cfg).moments.m2.ndim == 1
+    assert initial_state(Q0, diag_cfg).m2.ndim == 1
+
+
+@pytest.mark.parametrize("params", [np.zeros((2, 2)), [[0.0, 0.5]], 3.0])
+def test_initial_state_refuses_params_that_are_not_a_vector(params):
+    # a matrix would broadcast each move over its rows, a 1 x 2 row would
+    # get 1-vector moments, and a scalar has no dimension at all
+    for name in ("adam", "cgd_full"):
+        with pytest.raises(ValueError, match=r"^params: must be a vector, got an array of shape"):
+            initial_state(params, preset(name))
+    with pytest.raises(ValueError, match="^dim: must be >= 1, got 0$"):
+        initial_state(np.zeros(0), preset("adam"))
 
 
 def test_step_counts_advance():
@@ -137,7 +185,7 @@ def test_step_counts_advance():
     st = initial_state(Q0, cfg)
     for expected in (1, 2, 3):
         st = step(st, rosenbrock_gradient(st.params), cfg)
-        assert st.moments.step == expected
+        assert st.step == expected
 
 
 def test_metric_update_interval_reuses_operator():
@@ -147,7 +195,7 @@ def test_metric_update_interval_reuses_operator():
     for _ in range(7):
         st = step(st, rosenbrock_gradient(st.params), cfg)
         ops.append(st.precond)
-        moments.append(st.moments)
+        moments.append((st.m1, st.m2))
     # built at moment steps 1, 4, 7; the states after steps 1-2 and 4-5
     # carry each into the two steps that reuse it
     assert ops[0] is ops[1]
@@ -156,12 +204,12 @@ def test_metric_update_interval_reuses_operator():
     assert ops[6] is not ops[3]
     # each operator was built from the moments of the step that built it
     for t in (0, 3, 6):
-        fresh = build_inverse_metric(moments[t], cfg.metric)
+        fresh = build_inverse_metric(*moments[t], cfg)
         assert np.array_equal(ops[t].weights, fresh.weights)
         built, rebuilt = ops[t].factorization, fresh.factorization
         for field in ("eigenvalues", "z", "reflectors", "tau"):
             assert np.array_equal(getattr(built, field), getattr(rebuilt, field))
-    assert not np.array_equal(ops[3].weights, build_inverse_metric(moments[4], cfg.metric).weights)
+    assert not np.array_equal(ops[3].weights, build_inverse_metric(*moments[4], cfg).weights)
 
 
 @pytest.mark.skipif(linalg._binding() is None, reason="numpy bundles no scipy-openblas LAPACK")
@@ -175,12 +223,12 @@ def test_cached_operator_on_the_tridiagonal_path_is_the_build():
     for _ in range(4):
         st = step(st, rng.standard_normal(70), cfg)
         ops.append(st.precond)
-        moments.append(st.moments)
+        moments.append((st.m1, st.m2))
     # built at steps 1 and 4; the states after steps 1, 2 and 4 carry one
     assert ops[0] is ops[1] and ops[3] is not ops[0]
     for t in (0, 3):
         built = ops[t].factorization
-        rebuilt = build_inverse_metric(moments[t], cfg.metric).factorization
+        rebuilt = build_inverse_metric(*moments[t], cfg).factorization
         assert built.reflectors is not None
         for field in ("eigenvalues", "z", "reflectors", "tau"):
             assert np.array_equal(getattr(built, field), getattr(rebuilt, field))
@@ -260,9 +308,9 @@ def test_step_mutates_no_input_array():
         st = initial_state(rng.standard_normal(70), cfg)
         for _ in range(3):
             grad = rng.standard_normal(70)
-            before = [a.copy() for a in (st.params, st.moments.m1, st.moments.m2, grad)]
+            before = [a.copy() for a in (st.params, st.m1, st.m2, grad)]
             new = step(st, grad, cfg)
-            after = (st.params, st.moments.m1, st.moments.m2, grad)
+            after = (st.params, st.m1, st.m2, grad)
             assert all(np.array_equal(a, b) for a, b in zip(before, after))
             st = new
 
@@ -271,15 +319,15 @@ def test_metric_update_interval_matches_manual_caching():
     cfg = preset("cgd_full", context="rosenbrock", metric_update_interval=4)
     st = initial_state(Q0, cfg)
     q = Q0.copy()
-    moments = MomentState.initial(2, MetricShape.FULL)
+    m1, m2 = np.zeros(2), np.eye(2)
     op = None
     for t in range(10):
         g = rosenbrock_gradient(q)
         st = step(st, g, cfg)
-        moments = update_moments(moments, g, cfg.timescales)
-        if op is None or (moments.step - 1) % 4 == 0:
-            op = build_inverse_metric(moments, cfg.metric)
-        q = q - cfg.gamma * op.apply(moments.m1)
+        m1, m2 = update_moments(m1, m2, g, cfg)
+        if op is None or t % 4 == 0:
+            op = build_inverse_metric(m1, m2, cfg)
+        q = q - cfg.gamma * op.apply(m1)
         assert np.array_equal(st.params, q), f"diverged at step {t + 1}"
 
 
@@ -329,11 +377,11 @@ def _general_map_gap(power, eps, m2_as_metric, steps=400):
     h = c @ c.T + 0.5 * np.eye(5)
     noise = 0.3 * rng.standard_normal((steps, 5))
     q0 = rng.standard_normal(5)
-    cfg = CgdConfig(0.02, Timescales(17.1, 15.3), MetricSpec("full", "covariance", power, eps))
+    cfg = CgdConfig(0.02, 17.1, 15.3, "full", "covariance", power, eps)
     plain = initial_state(q0, cfg)
     # m2 starts at I in q; as a metric it maps to A^-T A^-1 in p
     m2 = a_inv.T @ a_inv if m2_as_metric else np.eye(5)
-    mapped = OptimizerState(a @ q0, MomentState(np.zeros(5), (m2 + m2.T) / 2.0))
+    mapped = OptimizerState(a @ q0, np.zeros(5), (m2 + m2.T) / 2.0)
     worst = 0.0
     for t in range(steps):
         plain = step(plain, h @ plain.params + noise[t], cfg)
