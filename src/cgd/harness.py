@@ -231,6 +231,8 @@ def track_eigenvalues(spectrum: NDArray[np.float64], k: int) -> NDArray[np.float
     operator the step applied (the covariance or the second moment, as the
     metric is configured; between refreshes, the reused operator's).
     """
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k: must be an integer, got {k!r}")
     if not 1 <= k <= spectrum.shape[0]:
         raise ValueError(f"k: must be in [1, {spectrum.shape[0]}], got {k}")
     return np.maximum(spectrum, 0.0)[::-1][:k]

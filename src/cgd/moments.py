@@ -10,6 +10,7 @@ coefficient beta.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -25,6 +26,9 @@ def ema_update(prev, sample, tau: float):
     sample is returned bit-for-bit, as a new value: ``prev`` is not read, so
     a -0.0 sample stays -0.0 and an infinite ``prev`` adds no NaN.
     """
+    # a float (every call inside the package) skips the type check
+    if type(tau) is not float and (isinstance(tau, bool) or not isinstance(tau, numbers.Real)):
+        raise ValueError(f"tau: must be a real number, got {tau!r}")
     if not math.isfinite(tau) or tau < 0.0:
         raise ValueError(f"tau: must be finite and >= 0, got {tau}")
     if tau == 0.0:

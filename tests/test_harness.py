@@ -413,6 +413,16 @@ def test_track_eigenvalues_errors():
         track_eigenvalues(np.ones(3), 4)
 
 
+@pytest.mark.parametrize("k", [2.5, 2.0, "2", True, None])
+def test_track_eigenvalues_rejects_a_k_that_is_not_an_integer(k):
+    with pytest.raises(ValueError, match="^k: must be an integer"):
+        track_eigenvalues(np.ones(3), k)
+
+
+def test_track_eigenvalues_takes_a_numpy_integer():
+    assert np.array_equal(track_eigenvalues(np.arange(4.0), np.int64(2)), [3.0, 2.0])
+
+
 def test_eigenvalues_carried_between_tracking_steps():
     cfg = ExperimentConfig(problem="multiply", optimizer="cgd_full", steps=22,
                            eig_track_k=2, eig_track_interval=10)

@@ -73,6 +73,18 @@ def test_ema_rejects_bad_tau():
         ema_update(0.0, 1.0, np.inf)
 
 
+@pytest.mark.parametrize("tau", ["3", True, False, None, 1j, [1.0]])
+def test_ema_rejects_a_tau_that_is_not_a_real_number(tau):
+    with pytest.raises(ValueError, match="^tau: must be a real number"):
+        ema_update(1.0, 2.0, tau)
+
+
+def test_ema_takes_any_real_tau():
+    assert ema_update(1.0, 2.0, 1) == ema_update(1.0, 2.0, 1.0) == 1.5
+    assert ema_update(1.0, 2.0, np.float64(3.0)) == ema_update(1.0, 2.0, 3.0)
+    assert ema_update(1.0, 2.0, np.int64(3)) == ema_update(1.0, 2.0, 3.0)
+
+
 def test_initial_state():
     diag = initial_state(np.zeros(3), preset("cgd_diagonal"))
     assert np.array_equal(diag.m1, np.zeros(3))

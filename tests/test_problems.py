@@ -10,9 +10,9 @@ from cgd.problems import (
     OUTPUT_NEURON,
     RosenbrockProblem,
     finite_diff_grad,
+    net_forward,
     net_loss,
     net_loss_and_grad,
-    net_states,
     rosenbrock_grad,
     rosenbrock_loss,
     sample_batch,
@@ -22,7 +22,7 @@ from cgd.problems import (
 
 def predict(q, inputs):
     """The output neuron's final activation for each input row."""
-    return net_states(*unpack_params(q), inputs)[-1][:, OUTPUT_NEURON]
+    return net_forward(*unpack_params(q), inputs)[1]
 
 
 def test_rosenbrock_known_values():
@@ -112,11 +112,11 @@ def test_zero_network_predicts_zero():
 
 def test_forward_output_bounded_by_activation():
     rng = np.random.default_rng(1)
-    states = net_states(*unpack_params(rng.standard_normal(N_PARAMS) * 3.0),
-                        rng.uniform(-1, 1, size=(50, 2)))
-    assert len(states) == DEPTH + 1
-    assert all(np.all(np.abs(x) <= 1.0) for x in states[1:])
-    assert np.all(np.abs(states[-1][:, OUTPUT_NEURON]) < 1.0)
+    states, pred = net_forward(*unpack_params(rng.standard_normal(N_PARAMS) * 3.0),
+                               rng.uniform(-1, 1, size=(50, 2)))
+    assert states.shape == (DEPTH, 50, N_NEURONS) and pred.shape == (50,)
+    assert np.all(np.abs(states[1:]) <= 1.0)
+    assert np.all(np.abs(pred) < 1.0)
 
 
 def test_bias_only_network_hand_value():
@@ -158,6 +158,19 @@ def test_batch_gradient_is_size_weighted_mean():
     _, g_tail = net_loss_and_grad(q, batch[2:])
     combined = (2.0 * g_head + 4.0 * g_tail) / 6.0
     assert np.allclose(g_all, combined, atol=1e-12)
+
+
+@pytest.mark.parametrize("size", [1, 2, 100])
+def test_network_kernel_leaves_its_inputs_unchanged(size):
+    # the kernel works in buffers and in place; none of them may be q or batch
+    rng = np.random.default_rng(size)
+    q = 0.5 * rng.standard_normal(N_PARAMS)
+    batch = sample_batch(size, size)
+    q_before, batch_before = q.copy(), batch.copy()
+    net_loss(q, batch)
+    net_loss_and_grad(q, batch)
+    assert q.tobytes() == q_before.tobytes()
+    assert batch.tobytes() == batch_before.tobytes()
 
 
 def test_sample_batch_contents():
@@ -225,7 +238,7 @@ def reference_loss_and_grad(q, batch):
     return float(np.mean(residual**2)), np.concatenate([gw.ravel(), gb]), states
 
 
-@pytest.mark.parametrize("size", [1, 7, 100])
+@pytest.mark.parametrize("size", [1, 2, 7, 100])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_network_kernel_matches_textbook_reference(size, seed):
     rng = np.random.default_rng(seed)
@@ -234,10 +247,12 @@ def test_network_kernel_matches_textbook_reference(size, seed):
         q = scale * rng.standard_normal(N_PARAMS)
         batch = sample_batch(seed, size)
         ref_loss, ref_grad, ref_states = reference_loss_and_grad(q, batch)
-        states = net_states(*unpack_params(q), batch)
-        assert len(states) == DEPTH + 1
-        for got, want in zip(states, ref_states):
+        # the kernel forms the last update for the output neuron alone
+        states, pred = net_forward(*unpack_params(q), batch)
+        assert states.shape == (DEPTH, size, N_NEURONS)
+        for got, want in zip(states, ref_states[:-1], strict=True):
             np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(pred, ref_states[-1][:, OUTPUT_NEURON], rtol=1e-13, atol=1e-15)
         loss, grad = net_loss_and_grad(q, batch)
         assert grad.shape == (N_PARAMS,)
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-13)
