@@ -6,11 +6,14 @@ Both problems expose the same small surface the run harness consumes:
 Rosenbrock objective is deterministic and ignores the batch; the network
 objective evaluates the rows it is given, which ``MultiplyProblem.batch(seed)``
 draws, so a caller that passes one draw to ``gradient`` and ``loss``
-evaluates both on the same data. A dimension or batch size out of range is a
-``ValueError`` whose message starts with its key (``dim:``, ``batch_size:``).
+evaluates both on the same data. A bad argument is a ``ValueError`` whose
+message starts with its name (``dim:``, ``batch_size:``, ``q:``, ``inputs:``,
+``batch:``, ``seed:``, ``h:``).
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.typing import NDArray
@@ -19,23 +22,29 @@ from numpy.typing import NDArray
 # --- Rosenbrock ---------------------------------------------------------
 
 
+def _rosenbrock_point(q) -> NDArray[np.float64]:
+    """q as a float vector of at least two coordinates."""
+    q = np.asarray(q, dtype=np.float64)
+    if q.ndim != 1:
+        raise ValueError(f"q: expected a parameter vector, got shape {q.shape}")
+    if q.shape[0] < 2:
+        raise ValueError("dim: rosenbrock needs at least 2 dimensions")
+    return q
+
+
 def rosenbrock_loss(q: NDArray[np.float64]) -> float:
     """Generalized Rosenbrock value, sum over consecutive coordinate pairs.
 
     For two dimensions this is the classic (1-x)^2 + 100(y - x^2)^2 with the
     minimum at (1, 1).
     """
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape[0] < 2:
-        raise ValueError("dim: rosenbrock needs at least 2 dimensions")
+    q = _rosenbrock_point(q)
     head, tail = q[:-1], q[1:]
     return float(np.add.reduce((1.0 - head) ** 2 + 100.0 * (tail - head**2) ** 2))
 
 
 def rosenbrock_grad(q: NDArray[np.float64]) -> NDArray[np.float64]:
-    q = np.asarray(q, dtype=np.float64)
-    if q.shape[0] < 2:
-        raise ValueError("dim: rosenbrock needs at least 2 dimensions")
+    q = _rosenbrock_point(q)
     head, tail = q[:-1], q[1:]
     valley = tail - head**2
     # accumulate onto zeros, so a -0.0 term reads +0.0 as in the textbook sum
@@ -92,6 +101,16 @@ def unpack_params(q: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[
     return q[:-N_NEURONS].reshape(N_NEURONS, N_NEURONS), q[-N_NEURONS:]
 
 
+def _row_count(name: str, rows: NDArray[np.float64], columns: int) -> int:
+    """The number of rows of a 2-D array that has at least one row and at
+    least ``columns`` columns; any other shape is refused under ``name``."""
+    if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < columns:
+        raise ValueError(
+            f"{name}: expected n >= 1 rows of at least {columns} columns, got shape {rows.shape}"
+        )
+    return rows.shape[0]
+
+
 def net_forward(
     weights: NDArray[np.float64], biases: NDArray[np.float64], inputs: NDArray[np.float64]
 ) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
@@ -104,13 +123,10 @@ def net_forward(
     output neuron alone, since nothing else of it is read: ``pred``, the n
     predictions.
     """
-    # Several rows go through GEMM, which runs faster on a contiguous copy of
-    # the transpose (one small copy per call) than on the strided view. One
-    # row goes through GEMV, whose summation order follows the operand's
-    # layout: on the copy it lands up to 3e-13 relative off the textbook
-    # product, so one row keeps the view.
-    n = inputs.shape[0]
-    weights_t = weights.T if n == 1 else np.ascontiguousarray(weights.T)
+    n = _row_count("inputs", inputs, 2)
+    # a product runs faster on a contiguous copy of the transpose (one small
+    # copy per call) than on the strided view
+    weights_t = np.ascontiguousarray(weights.T)
     # adding the (N_NEURONS,) biases by broadcasting allocates an n x 23
     # temporary on every call; adding an array of the state's shape does not
     bias_rows = np.empty((n, N_NEURONS))
@@ -118,19 +134,20 @@ def net_forward(
     states = np.zeros((DEPTH, n, N_NEURONS))
     states[0, :, _INPUT_SLICE] = inputs[:, :2]
     for k in range(1, DEPTH):
-        z = np.matmul(states[k - 1], weights_t, out=states[k])
+        z = np.dot(states[k - 1], weights_t, out=states[k])
         z += bias_rows
         np.tanh(z, out=z)
-    pred = states[-1] @ weights[OUTPUT_NEURON]
+    pred = np.dot(states[-1], weights[OUTPUT_NEURON])
     pred += biases[OUTPUT_NEURON]
     return states, np.tanh(pred, out=pred)
 
 
 def net_loss(q: NDArray[np.float64], batch: NDArray[np.float64]) -> float:
     """Mean squared error of the network on a (n, 3) batch of (x, y, target)."""
+    n = _row_count("batch", batch, 3)
     _, pred = net_forward(*unpack_params(q), batch)
     residual = pred - batch[:, 2]
-    return float(np.add.reduce(residual * residual)) / batch.shape[0]
+    return float(np.add.reduce(residual * residual)) / n
 
 
 def net_loss_and_grad(
@@ -144,8 +161,8 @@ def net_loss_and_grad(
     read in one product. The last update reaches the output neuron alone,
     so it adds one row.
     """
+    n = _row_count("batch", batch, 3)
     weights, biases = unpack_params(q)
-    n = batch.shape[0]
     states, pred = net_forward(weights, biases, batch)
     residual = pred - batch[:, 2]
     loss = float(np.add.reduce(residual * residual)) / n
@@ -157,24 +174,23 @@ def net_loss_and_grad(
     # u[k - 1]: the loss's derivative by the pre-activation of update k < DEPTH
     u = np.square(states[1:])
     np.subtract(1.0, u, out=u)
-    out_row = u_out @ states[-1]
+    out_row = np.dot(u_out, states[-1])
     # states[-1] is spent: the products below go into it, where a
     # broadcasting ufunc or np.multiply.outer would allocate n x 23 temporaries
     scratch = states[-1]
     # the top update reaches the output neuron alone: its sensitivity is the
     # outer product of u_out and the output neuron's weights, a rank-1 GEMM
-    # (1.4 us by np.dot at n = 100, 4.3 us by np.matmul)
     u[-1] *= np.dot(u_out.reshape(-1, 1), weights[OUTPUT_NEURON, None], out=scratch)
     for k in range(DEPTH - 2, 0, -1):  # the input state has no parameters upstream
-        u[k - 1] *= np.matmul(u[k], weights, out=scratch)
+        u[k - 1] *= np.dot(u[k], weights, out=scratch)
 
     grad = np.empty(N_PARAMS)
     gw, gb = unpack_params(grad)
     rows = u.reshape(-1, N_NEURONS)
-    np.matmul(rows.T, states[:-1].reshape(-1, N_NEURONS), out=gw)
+    np.dot(rows.T, states[:-1].reshape(-1, N_NEURONS), out=gw)
     # a column sum as a vector-matrix product: one BLAS call, where
     # np.add.reduce over axis 0 loops once per row (~3x slower at n = 100)
-    np.matmul(np.ones(rows.shape[0]), rows, out=gb)
+    np.dot(np.ones(rows.shape[0]), rows, out=gb)
     gw[OUTPUT_NEURON] += out_row
     gb[OUTPUT_NEURON] += np.add.reduce(u_out)
     return loss, grad
@@ -184,6 +200,8 @@ def sample_batch(seed: int, size: int) -> NDArray[np.float64]:
     """(size, 3) rows of x, y, x*y with x, y uniform on [-1, 1]."""
     if size < 1:
         raise ValueError(f"batch_size: batch size must be >= 1, got {size}")
+    if seed < 0:
+        raise ValueError(f"seed: must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     # numpy refuses a size past its limit with ValueError, one past the
     # machine's memory with MemoryError; both are MemoryError here
@@ -227,6 +245,8 @@ class MultiplyProblem:
 
 def finite_diff_grad(problem, q, h: float, batch=None) -> NDArray[np.float64]:
     """Central-difference gradient of problem.loss at q, one coordinate at a time."""
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"h: step must be finite and > 0, got {h!r}")
     q = np.asarray(q, dtype=np.float64)
     grad = np.zeros_like(q)
     for i in range(q.shape[0]):

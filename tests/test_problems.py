@@ -77,6 +77,20 @@ def test_rosenbrock_rejects_scalar_problems():
         RosenbrockProblem(dim=1)
 
 
+@pytest.mark.parametrize("q", [np.zeros((2, 2)), np.zeros((1, 2)), np.float64(1.0)])
+def test_rosenbrock_refuses_a_point_that_is_not_a_vector(q):
+    with pytest.raises(ValueError, match="^q: "):
+        rosenbrock_loss(q)
+    with pytest.raises(ValueError, match="^q: "):
+        rosenbrock_grad(q)
+
+
+@pytest.mark.parametrize("h", [0.0, -1e-6, np.inf, np.nan])
+def test_finite_diff_grad_refuses_a_step_that_is_not_finite_and_positive(h):
+    with pytest.raises(ValueError, match="^h: "):
+        finite_diff_grad(RosenbrockProblem(), np.zeros(2), h=h)
+
+
 def test_rosenbrock_initial_params():
     p = RosenbrockProblem()
     assert np.array_equal(p.initial_params(seed=0), [0.0, 0.5])
@@ -173,6 +187,22 @@ def test_network_kernel_leaves_its_inputs_unchanged(size):
     assert batch.tobytes() == batch_before.tobytes()
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (4, 2), (4,), (0, 0)])
+def test_network_loss_refuses_a_batch_without_rows_or_a_target(shape):
+    q = np.zeros(N_PARAMS)
+    with pytest.raises(ValueError, match="^batch: "):
+        net_loss(q, np.zeros(shape))
+    with pytest.raises(ValueError, match="^batch: "):
+        net_loss_and_grad(q, np.zeros(shape))
+
+
+@pytest.mark.parametrize("shape", [(0, 2), (4, 1), (4,)])
+def test_network_forward_refuses_inputs_without_rows_or_both_inputs(shape):
+    # an (n, 1) array would broadcast x onto both input neurons
+    with pytest.raises(ValueError, match="^inputs: "):
+        net_forward(*unpack_params(np.zeros(N_PARAMS)), np.zeros(shape))
+
+
 def test_sample_batch_contents():
     batch = sample_batch(0, 100)
     assert batch.shape == (100, 3)
@@ -182,6 +212,8 @@ def test_sample_batch_contents():
     assert not np.array_equal(batch, sample_batch(1, 100))
     with pytest.raises(ValueError, match="^batch_size: "):
         sample_batch(0, 0)
+    with pytest.raises(ValueError, match="^seed: "):
+        sample_batch(-1, 3)
 
 
 def test_multiply_problem_surface():
@@ -210,13 +242,18 @@ def test_multiply_gradient_descends():
     assert after < before
 
 
+def textbook_update(weights, biases, state):
+    """One synchronous update of every neuron: tanh(x @ W.T + b)."""
+    return np.tanh(state @ weights.T + biases)
+
+
 def reference_states(weights, biases, inputs):
-    """Textbook forward pass: tanh(x @ W.T + b), DEPTH times."""
+    """Textbook forward pass: DEPTH updates of the input state."""
     x = np.zeros((inputs.shape[0], N_NEURONS))
     x[:, list(INPUT_NEURONS)] = inputs[:, :2]
     states = [x]
     for _ in range(DEPTH):
-        states.append(np.tanh(states[-1] @ weights.T + biases))
+        states.append(textbook_update(weights, biases, states[-1]))
     return states
 
 
@@ -245,14 +282,23 @@ def test_network_kernel_matches_textbook_reference(size, seed):
     # a small scale keeps tanh linear-ish, a large one saturates it
     for scale in (0.1, 1.0):
         q = scale * rng.standard_normal(N_PARAMS)
+        weights, biases = unpack_params(q)
         batch = sample_batch(seed, size)
         ref_loss, ref_grad, ref_states = reference_loss_and_grad(q, batch)
-        # the kernel forms the last update for the output neuron alone
-        states, pred = net_forward(*unpack_params(q), batch)
+        states, pred = net_forward(weights, biases, batch)
         assert states.shape == (DEPTH, size, N_NEURONS)
-        for got, want in zip(states, ref_states[:-1], strict=True):
-            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(pred, ref_states[-1][:, OUTPUT_NEURON], rtol=1e-13, atol=1e-15)
+        np.testing.assert_array_equal(states[0], ref_states[0])
+        # each update is checked against one textbook update of the kernel's
+        # own previous state: which BLAS routine numpy picks, and so how a
+        # product rounds, depends on the batch size and the operands' layout,
+        # and along a chain of updates that rounding compounds, so comparing
+        # two chains state by state would pin a summation order
+        for k in range(1, DEPTH):
+            want = textbook_update(weights, biases, states[k - 1])
+            np.testing.assert_allclose(states[k], want, rtol=1e-13, atol=1e-15)
+        # the kernel forms the last update for the output neuron alone
+        want = textbook_update(weights, biases, states[-1])[:, OUTPUT_NEURON]
+        np.testing.assert_allclose(pred, want, rtol=1e-13, atol=1e-15)
         loss, grad = net_loss_and_grad(q, batch)
         assert grad.shape == (N_PARAMS,)
         np.testing.assert_allclose(loss, ref_loss, rtol=1e-13)

@@ -52,8 +52,8 @@ CONFIGS: dict[str, dict] = {
     **{f"rosenbrock-full-dim{dim}": {"problem": "rosenbrock", "optimizer": "cgd_full",
                                      "steps": 300, "dim": dim}
        for dim in (63, 64)},
-    # a one-row batch multiplies by the strided view of weights.T (a
-    # vector-matrix product), every larger batch by its contiguous copy
+    # on a one-row batch numpy runs the network's products as vector-matrix
+    # products (GEMV), whose rounding differs from the GEMM of larger batches
     "multiply-cgd_diagonal-batch1": {"problem": "multiply", "optimizer": "cgd_diagonal",
                                      "steps": 300, "batch_size": 1},
 }
