@@ -24,6 +24,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 from numpy.typing import NDArray
 
+from ._args import choice, scalar
 from .metric import MetricShape
 from .moments import ema_update
 from .optimizer import (PRESET_NAMES, CgdConfig, initial_state, normalize_preset_name,
@@ -83,11 +84,9 @@ class ExperimentConfig:
             value = getattr(self, field.name)
             if value is not None or field.default is not None:
                 object.__setattr__(self, field.name, _coerce(field.name, value))
-        if self.problem not in PROBLEM_NAMES:
-            raise ConfigError(f"problem: expected one of {PROBLEM_NAMES}, got {self.problem!r}")
-        for key, low in _LOWER_BOUNDS.items():
-            if getattr(self, key) < low:
-                raise ConfigError(f"{key}: must be >= {low}, got {getattr(self, key)}")
+        choice("problem", self.problem, PROBLEM_NAMES, error=ConfigError)
+        for key, low in {"steps": 1, "seed": 0, "eig_track_interval": 1}.items():
+            scalar(key, getattr(self, key), int, low=low, error=ConfigError)
         if self.problem == "rosenbrock":
             if self.batch_size is not None:
                 raise ConfigError("batch_size: only valid for the multiply problem")
@@ -101,8 +100,7 @@ class ExperimentConfig:
             raise ConfigError(f"q0: expected {dim} values, got {len(self.q0)}")
         if self.q0 is not None and not all(map(math.isfinite, self.q0)):
             raise ConfigError(f"q0: must be finite, got {self.q0}")
-        if self.eig_track_k > dim:
-            raise ConfigError(f"eig_track_k: exceeds problem dimension {dim}")
+        scalar("eig_track_k", self.eig_track_k, int, low=0, high=dim, error=ConfigError)
         # Resolve the preset eagerly so an unknown name, bad hyperparameters
         # and incompatible eigenvalue tracking fail at config time, not mid-run.
         opt = self.optimizer_config()
@@ -172,7 +170,6 @@ def _value_type(hint) -> type:
 
 
 _FIELD_TYPES = {key: _value_type(hint) for key, hint in get_type_hints(ExperimentConfig).items()}
-_LOWER_BOUNDS = {"steps": 1, "seed": 0, "eig_track_k": 0, "eig_track_interval": 1}
 
 # what a field takes, besides a string, from a config built in Python
 _TYPED_VALUES = {int: numbers.Integral, float: numbers.Real, str: os.PathLike}
@@ -231,10 +228,7 @@ def track_eigenvalues(spectrum: NDArray[np.float64], k: int) -> NDArray[np.float
     operator the step applied (the covariance or the second moment, as the
     metric is configured; between refreshes, the reused operator's).
     """
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
-        raise ValueError(f"k: must be an integer, got {k!r}")
-    if not 1 <= k <= spectrum.shape[0]:
-        raise ValueError(f"k: must be in [1, {spectrum.shape[0]}], got {k}")
+    k = scalar("k", k, int, low=1, high=spectrum.shape[0])
     return np.maximum(spectrum, 0.0)[::-1][:k]
 
 
@@ -406,8 +400,7 @@ def compare_suite(suite: str, out_dir, /, **settings) -> dict[str, RunRecord]:
     run on the multiply suite also tracks the top-10 covariance eigenvalues,
     matching the spectra-decay figure setup.
     """
-    if suite not in PROBLEM_NAMES:
-        raise ConfigError(f"suite: expected one of {PROBLEM_NAMES}, got {suite!r}")
+    choice("suite", suite, PROBLEM_NAMES, error=ConfigError)
     fixed = sorted(set(settings) & {"problem", "optimizer", "eig_track_k", "output_dir"})
     if fixed:
         raise ConfigError(f"{', '.join(fixed)}: set by compare for each run")

@@ -10,9 +10,10 @@ coefficient beta.
 from __future__ import annotations
 
 import math
-import numbers
 
 import numpy as np
+
+from ._args import scalar
 
 # Rows of the d x d second moment folded per block in a full-mode update;
 # 64 rows of a 552-wide matrix are about 280 KB, which stays in cache.
@@ -26,11 +27,9 @@ def ema_update(prev, sample, tau: float):
     sample is returned bit-for-bit, as a new value: ``prev`` is not read, so
     a -0.0 sample stays -0.0 and an infinite ``prev`` adds no NaN.
     """
-    # a float (every call inside the package) skips the type check
-    if type(tau) is not float and (isinstance(tau, bool) or not isinstance(tau, numbers.Real)):
-        raise ValueError(f"tau: must be a real number, got {tau!r}")
-    if not math.isfinite(tau) or tau < 0.0:
-        raise ValueError(f"tau: must be finite and >= 0, got {tau}")
+    # a float in range (every call inside the package) skips the full check
+    if not (type(tau) is float and 0.0 <= tau < math.inf):
+        tau = scalar("tau", tau, low=0)
     if tau == 0.0:
         return sample / 1.0
     scale = 1.0 + tau

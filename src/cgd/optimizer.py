@@ -19,27 +19,17 @@ well scaled. Classical references used in tests follow the same convention.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, replace
-from enum import Enum
 
 import numpy as np
 
+from ._args import choice, scalar
 from .metric import InverseMetricOperator, MetricShape, MetricStatistic, build_inverse_metric
 from .moments import update_moments
 
-
-def _member(enum: type[Enum], key: str, value) -> Enum:
-    """``value`` as a member of a string enum; a ValueError naming ``key`` otherwise."""
-    expected = tuple(member.value for member in enum)
-    if value not in expected:
-        raise ValueError(f"{key}: expected one of {expected}, got {value!r}")
-    return enum(value)
-
-
-# each float setting, and the lower bound it must keep besides being finite
-_FLOAT_BOUNDS = {"gamma": "> 0", "tau1": ">= 0", "tau2": ">= 0", "power": "", "eps": "> 0"}
+# each number setting: its kind (float unless given) and bounds, checked by _args.scalar
+_NUMBERS = {"gamma": {"above": 0}, "tau1": {"low": 0}, "tau2": {"low": 0}, "power": {},
+            "eps": {"above": 0}, "metric_update_interval": {"kind": int, "low": 1}}
 
 
 @dataclass(frozen=True)
@@ -66,26 +56,11 @@ class CgdConfig:
     metric_update_interval: int = 1
 
     def __post_init__(self):
-        for name, bound in _FLOAT_BOUNDS.items():
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name}: must be a number, got {value!r}")
-            try:
-                number = float(value)
-            except OverflowError:  # an integer past the float range
-                number = math.inf
-            in_range = {"> 0": number > 0.0, ">= 0": number >= 0.0, "": True}[bound]
-            if not (math.isfinite(number) and in_range):
-                rule = f"finite and {bound}" if bound else "finite"
-                raise ValueError(f"{name}: must be {rule}, got {value}")
-            object.__setattr__(self, name, number)
-        object.__setattr__(self, "shape", _member(MetricShape, "shape", self.shape))
-        object.__setattr__(self, "statistic",
-                           _member(MetricStatistic, "statistic", self.statistic))
-        interval = self.metric_update_interval
-        if (isinstance(interval, bool) or not isinstance(interval, numbers.Integral)
-                or interval < 1):
-            raise ValueError(f"metric_update_interval: must be an integer >= 1, got {interval!r}")
+        for name, rule in _NUMBERS.items():
+            object.__setattr__(self, name, scalar(name, getattr(self, name), **rule))
+        for name, enum in (("shape", MetricShape), ("statistic", MetricStatistic)):
+            value = choice(name, getattr(self, name), tuple(member.value for member in enum))
+            object.__setattr__(self, name, enum(value))
 
 
 @dataclass(frozen=True)
@@ -154,6 +129,7 @@ _PRESET_METRICS: dict[str, tuple[MetricShape, MetricStatistic]] = {
 }
 
 PRESET_NAMES = tuple(_PRESET_METRICS)
+_ALIASES = {"cgd_diag": "cgd_diagonal", "cgdfull": "cgd_full", "cgddiagonal": "cgd_diagonal"}
 
 # (gamma, tau1, tau2, power) tuned per benchmark; SGD has no second-moment
 # dependence so its tau2 is set to 0.
@@ -178,12 +154,10 @@ HYPERPARAMETERS: dict[str, dict[str, tuple[float, float, float, float]]] = {
 
 
 def normalize_preset_name(name: str) -> str:
-    key = name.strip().lower().replace("-", "_").replace(" ", "_")
-    aliases = {"cgd_diag": "cgd_diagonal", "cgdfull": "cgd_full", "cgddiagonal": "cgd_diagonal"}
-    key = aliases.get(key, key)
-    if key not in _PRESET_METRICS:
-        raise ValueError(f"optimizer: unknown preset {name!r}; expected one of {PRESET_NAMES}")
-    return key
+    if isinstance(name, str):
+        name = name.strip().lower().replace("-", "_").replace(" ", "_")
+        name = _ALIASES.get(name, name)
+    return choice("optimizer", name, PRESET_NAMES, noun="preset")
 
 
 # what preset() lets a caller change; an override left as None keeps the tuned value
@@ -207,8 +181,7 @@ def preset(name: str, *, context: str = "rosenbrock", **overrides) -> CgdConfig:
         raise ValueError(f"{', '.join(unknown)}: not a preset override; "
                          f"expected one of {_OVERRIDES}")
     key = normalize_preset_name(name)
-    if context not in HYPERPARAMETERS:
-        raise ValueError(f"context: expected one of {tuple(HYPERPARAMETERS)}, got {context!r}")
+    context = choice("context", context, tuple(HYPERPARAMETERS))
     gamma, tau1, tau2, power = HYPERPARAMETERS[context][key]
     tuned = CgdConfig(gamma, tau1, tau2, *_PRESET_METRICS[key], power)
     return replace(tuned, **{k: v for k, v in overrides.items() if v is not None})

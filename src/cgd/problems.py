@@ -7,16 +7,15 @@ Rosenbrock objective is deterministic and ignores the batch; the network
 objective evaluates the rows it is given, which ``MultiplyProblem.batch(seed)``
 draws, so a caller that passes one draw to ``gradient`` and ``loss``
 evaluates both on the same data. A bad argument is a ``ValueError`` whose
-message starts with its name (``dim:``, ``batch_size:``, ``q:``, ``inputs:``,
-``batch:``, ``seed:``, ``h:``).
+message starts with its name.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from numpy.typing import NDArray
+
+from ._args import scalar
 
 
 # --- Rosenbrock ---------------------------------------------------------
@@ -59,9 +58,7 @@ class RosenbrockProblem:
     """Deterministic valley benchmark; the 2-D start point sits at (0, 0.5)."""
 
     def __init__(self, dim: int = 2):
-        if dim < 2:
-            raise ValueError("dim: rosenbrock needs at least 2 dimensions")
-        self.dim = dim
+        self.dim = scalar("dim", dim, int, low=2)
 
     def initial_params(self, seed: int = 0) -> NDArray[np.float64]:
         # Fixed start regardless of seed: the objective has no sampling.
@@ -103,7 +100,9 @@ def unpack_params(q: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[
 
 def _row_count(name: str, rows: NDArray[np.float64], columns: int) -> int:
     """The number of rows of a 2-D array that has at least one row and at
-    least ``columns`` columns; any other shape is refused under ``name``."""
+    least ``columns`` columns; any other value is refused under ``name``."""
+    if not isinstance(rows, np.ndarray):
+        raise ValueError(f"{name}: expected a numpy array, got {type(rows).__name__}")
     if rows.ndim != 2 or rows.shape[0] < 1 or rows.shape[1] < columns:
         raise ValueError(
             f"{name}: expected n >= 1 rows of at least {columns} columns, got shape {rows.shape}"
@@ -198,11 +197,8 @@ def net_loss_and_grad(
 
 def sample_batch(seed: int, size: int) -> NDArray[np.float64]:
     """(size, 3) rows of x, y, x*y with x, y uniform on [-1, 1]."""
-    if size < 1:
-        raise ValueError(f"batch_size: batch size must be >= 1, got {size}")
-    if seed < 0:
-        raise ValueError(f"seed: must be >= 0, got {seed}")
-    rng = np.random.default_rng(seed)
+    size = scalar("batch_size", size, int, low=1)
+    rng = np.random.default_rng(scalar("seed", seed, int, low=0))
     # numpy refuses a size past its limit with ValueError, one past the
     # machine's memory with MemoryError; both are MemoryError here
     try:
@@ -223,10 +219,8 @@ class MultiplyProblem:
     """
 
     def __init__(self, batch_size: int = 100):
-        if batch_size < 1:
-            raise ValueError(f"batch_size: batch size must be >= 1, got {batch_size}")
         self.dim = N_PARAMS
-        self.batch_size = batch_size
+        self.batch_size = scalar("batch_size", batch_size, int, low=1)
 
     def initial_params(self, seed: int = 0) -> NDArray[np.float64]:
         rng = np.random.default_rng(seed)
@@ -245,8 +239,7 @@ class MultiplyProblem:
 
 def finite_diff_grad(problem, q, h: float, batch=None) -> NDArray[np.float64]:
     """Central-difference gradient of problem.loss at q, one coordinate at a time."""
-    if not 0.0 < h < math.inf:
-        raise ValueError(f"h: step must be finite and > 0, got {h!r}")
+    h = scalar("h", h, above=0)
     q = np.asarray(q, dtype=np.float64)
     grad = np.zeros_like(q)
     for i in range(q.shape[0]):

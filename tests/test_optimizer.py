@@ -13,6 +13,7 @@ from cgd.optimizer import (
     CgdConfig,
     OptimizerState,
     initial_state,
+    normalize_preset_name,
     preset,
     step,
 )
@@ -91,7 +92,7 @@ def test_preset_overrides_and_aliases():
 
 
 @pytest.mark.parametrize("key", ["gamma", "tau1", "tau2", "power", "eps"])
-@pytest.mark.parametrize("value", ["0.1", "x", True, False, None, 1j, [0.1]])
+@pytest.mark.parametrize("value", ["0.1", "x", True, False, None, 1j, [0.1], {0.1}])
 def test_config_refuses_a_float_setting_that_is_not_a_real_number(key, value):
     # a string, a bool, a complex number or a list is a ValueError naming the
     # setting, like any other bad value; None reaches CgdConfig directly only
@@ -128,6 +129,17 @@ def test_unknown_preset_and_context():
         preset("adamw")
     with pytest.raises(ValueError, match="^context:"):
         preset("adam", context="quartic")
+
+
+@pytest.mark.parametrize("value", [5, None, [], ["adam"], {"adam"}, b"adam"])
+def test_preset_refuses_a_name_or_context_that_is_not_a_string(value):
+    # an unhashable value included: a dict lookup would raise TypeError
+    with pytest.raises(ValueError, match="^optimizer: unknown preset "):
+        preset(value)
+    with pytest.raises(ValueError, match="^optimizer: unknown preset "):
+        normalize_preset_name(value)
+    with pytest.raises(ValueError, match="^context: expected one of "):
+        preset("adam", context=value)
 
 
 def test_sgd_step_is_plain_gradient_descent_bitwise():

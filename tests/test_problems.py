@@ -77,6 +77,12 @@ def test_rosenbrock_rejects_scalar_problems():
         RosenbrockProblem(dim=1)
 
 
+@pytest.mark.parametrize("dim", ["3", 2.5, 2.0, True, None])
+def test_rosenbrock_problem_refuses_a_dim_that_is_not_an_integer(dim):
+    with pytest.raises(ValueError, match="^dim: must be an integer, got "):
+        RosenbrockProblem(dim)
+
+
 @pytest.mark.parametrize("q", [np.zeros((2, 2)), np.zeros((1, 2)), np.float64(1.0)])
 def test_rosenbrock_refuses_a_point_that_is_not_a_vector(q):
     with pytest.raises(ValueError, match="^q: "):
@@ -85,7 +91,7 @@ def test_rosenbrock_refuses_a_point_that_is_not_a_vector(q):
         rosenbrock_grad(q)
 
 
-@pytest.mark.parametrize("h", [0.0, -1e-6, np.inf, np.nan])
+@pytest.mark.parametrize("h", [0.0, -1e-6, np.inf, np.nan, "1e-6", True, None])
 def test_finite_diff_grad_refuses_a_step_that_is_not_finite_and_positive(h):
     with pytest.raises(ValueError, match="^h: "):
         finite_diff_grad(RosenbrockProblem(), np.zeros(2), h=h)
@@ -196,6 +202,17 @@ def test_network_loss_refuses_a_batch_without_rows_or_a_target(shape):
         net_loss_and_grad(q, np.zeros(shape))
 
 
+@pytest.mark.parametrize("rows", [[[0.1, 0.2, 0.02]], ((0.1, 0.2, 0.02),), None, 3.0])
+def test_network_refuses_rows_that_are_not_a_numpy_array(rows):
+    q = np.zeros(N_PARAMS)
+    with pytest.raises(ValueError, match="^batch: expected a numpy array"):
+        net_loss(q, rows)
+    with pytest.raises(ValueError, match="^batch: expected a numpy array"):
+        net_loss_and_grad(q, rows)
+    with pytest.raises(ValueError, match="^inputs: expected a numpy array"):
+        net_forward(*unpack_params(q), rows)
+
+
 @pytest.mark.parametrize("shape", [(0, 2), (4, 1), (4,)])
 def test_network_forward_refuses_inputs_without_rows_or_both_inputs(shape):
     # an (n, 1) array would broadcast x onto both input neurons
@@ -214,6 +231,12 @@ def test_sample_batch_contents():
         sample_batch(0, 0)
     with pytest.raises(ValueError, match="^seed: "):
         sample_batch(-1, 3)
+    for seed in ("1", 1.5, None, True):
+        with pytest.raises(ValueError, match="^seed: must be an integer, got "):
+            sample_batch(seed, 3)
+    for size in ("3", 2.5, None, True):
+        with pytest.raises(ValueError, match="^batch_size: must be an integer, got "):
+            sample_batch(0, size)
 
 
 def test_multiply_problem_surface():
@@ -230,6 +253,13 @@ def test_multiply_problem_surface():
     assert p.loss(q, p.batch(0)) != p.loss(q, p.batch(2))
     with pytest.raises(ValueError, match="^batch_size: "):
         MultiplyProblem(batch_size=0)
+
+
+@pytest.mark.parametrize("batch_size", [True, "3", 2.5, None])
+def test_multiply_problem_refuses_a_batch_size_that_is_not_an_integer(batch_size):
+    # True would pass a `< 1` test and fail at the problem's first batch
+    with pytest.raises(ValueError, match="^batch_size: must be an integer, got "):
+        MultiplyProblem(batch_size)
 
 
 def test_multiply_gradient_descends():
