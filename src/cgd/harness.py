@@ -15,11 +15,10 @@ from __future__ import annotations
 import functools
 import io
 import math
-import numbers
 import os
+from contextlib import suppress
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 from numpy.typing import NDArray
@@ -27,8 +26,8 @@ from numpy.typing import NDArray
 from ._args import choice, scalar
 from .metric import MetricShape
 from .moments import ema_update
-from .optimizer import (PRESET_NAMES, CgdConfig, initial_state, normalize_preset_name,
-                        preset, step)
+from .optimizer import (_NUMBERS as _PRESET_NUMBERS, PRESET_NAMES, CgdConfig, initial_state,
+                        normalize_preset_name, preset, step)
 from .problems import MultiplyProblem, RosenbrockProblem, finite_diff_grad
 
 TAU_PLOT = 20.0
@@ -85,8 +84,6 @@ class ExperimentConfig:
             if value is not None or field.default is not None:
                 object.__setattr__(self, field.name, _coerce(field.name, value))
         choice("problem", self.problem, PROBLEM_NAMES, error=ConfigError)
-        for key, low in {"steps": 1, "seed": 0, "eig_track_interval": 1}.items():
-            scalar(key, getattr(self, key), int, low=low, error=ConfigError)
         if self.problem == "rosenbrock":
             if self.batch_size is not None:
                 raise ConfigError("batch_size: only valid for the multiply problem")
@@ -163,42 +160,45 @@ class ExperimentConfig:
         return replace(self, **_known(overrides))
 
 
-def _value_type(hint) -> type:
-    """The type a field declares: ``int | None`` -> int, ``tuple[float, ...]`` -> tuple."""
-    hint = next((arg for arg in get_args(hint) if arg is not type(None)), hint)
-    return get_origin(hint) or hint
+_FIELDS = {field.name for field in fields(ExperimentConfig)}
 
-
-_FIELD_TYPES = {key: _value_type(hint) for key, hint in get_type_hints(ExperimentConfig).items()}
-
-# what a field takes, besides a string, from a config built in Python
-_TYPED_VALUES = {int: numbers.Integral, float: numbers.Real, str: os.PathLike}
-_EXPECTED = {int: "an integer", float: "a number", str: "a string",
-             tuple: "comma-separated numbers"}
+# each number field's kind (float unless given) and bounds for _args.scalar: the preset's
+# six as CgdConfig has them; the problem bounds dim and batch_size, its dimension eig_track_k
+_NUMBERS = {**_PRESET_NUMBERS, "steps": {"kind": int, "low": 1}, "seed": {"kind": int, "low": 0},
+            "dim": {"kind": int}, "batch_size": {"kind": int},
+            "eig_track_k": {"kind": int, "low": 0}, "eig_track_interval": {"kind": int, "low": 1}}
 
 
 def _known(mapping: dict) -> dict:
     """``mapping`` itself, once each of its keys names an ExperimentConfig field."""
-    unknown = sorted(set(mapping) - set(_FIELD_TYPES))
+    unknown = sorted(set(mapping) - _FIELDS)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
     return mapping
 
 
 def _coerce(key: str, raw):
-    """Turn a config-file string, or a value given in Python, into the field type."""
-    kind = _FIELD_TYPES[key]
-    try:
-        if kind is tuple:  # a string, or any other sequence (a numpy array included)
-            parts = raw.split(",") if isinstance(raw, str) else raw
-            return tuple(float(part) for part in parts)
+    """A field's value as its type. A number goes through ``_args.scalar``; a
+    config-file or override string is first read as the field's kind where it
+    parses, and one that does not is left for ``scalar`` to refuse."""
+    if key in _NUMBERS:
+        rule = _NUMBERS[key]
         if isinstance(raw, str):
-            return kind(raw.strip())
-        if isinstance(raw, _TYPED_VALUES[kind]) and not isinstance(raw, bool):
-            return kind(raw)  # not through str(), which would round a np.float32
-    except (TypeError, ValueError, OverflowError):  # float(None); float(10**400)
-        pass
-    raise ConfigError(f"{key}: expected {_EXPECTED[kind]}, got {raw!r}")
+            with suppress(ValueError):
+                raw = rule.get("kind", float)(raw)
+        return scalar(key, raw, **rule, error=ConfigError)
+    if key == "q0":  # a string, or any other sequence (a numpy array included)
+        try:
+            return tuple(float(part) for part in (raw.split(",") if isinstance(raw, str) else raw))
+        except (TypeError, ValueError, OverflowError):  # float(None); float(10**400)
+            raise ConfigError(f"q0: expected comma-separated numbers, got {raw!r}") from None
+    if isinstance(raw, str):
+        return raw.strip()
+    if key != "output_dir":  # problem, optimizer and statistic meet their choice checks
+        return raw
+    if isinstance(raw, os.PathLike):
+        return str(raw)
+    raise ConfigError(f"output_dir: expected a string, got {raw!r}")
 
 
 @dataclass

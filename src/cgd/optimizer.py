@@ -90,9 +90,7 @@ def initial_state(params, cfg: CgdConfig) -> OptimizerState:
     params = np.asarray(params, dtype=np.float64)
     if params.ndim != 1:
         raise ValueError(f"params: must be a vector, got an array of shape {params.shape}")
-    dim = params.shape[0]
-    if dim < 1:
-        raise ValueError(f"dim: must be >= 1, got {dim}")
+    dim = scalar("dim", params.shape[0], int, low=1)
     m2 = np.eye(dim) if cfg.shape is MetricShape.FULL else np.ones(dim)
     return OptimizerState(params, np.zeros(dim), m2)
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cgd import cli
 from cgd._args import choice, scalar
 from cgd.harness import ConfigError, ExperimentConfig, track_eigenvalues
 from cgd.moments import ema_update
@@ -30,11 +31,38 @@ from cgd.problems import MultiplyProblem, RosenbrockProblem, finite_diff_grad, s
      "shape: expected one of ('diagonal', 'full'), got []"),
     (lambda: choice("optimizer", "adamw", ("adam",), noun="preset"),
      "optimizer: unknown preset 'adamw'; expected one of ('adam',)"),
+    # a config file, an override and a config built in Python meet the same rule
+    (lambda: ExperimentConfig.from_mapping({"steps": "2.5"}),
+     "steps: must be an integer, got '2.5'"),
+    (lambda: ExperimentConfig(steps=2.5), "steps: must be an integer, got 2.5"),
+    (lambda: ExperimentConfig(gamma="fast"), "gamma: must be a number, got 'fast'"),
+    (lambda: ExperimentConfig(gamma=math.inf), "gamma: must be finite and > 0, got inf"),
 ])
 def test_each_refusal_names_the_argument_in_one_wording(call, message):
     with pytest.raises(ValueError) as caught:
         call()
     assert str(caught.value) == message
+
+
+def test_an_override_on_the_command_line_is_refused_in_the_same_wording(tmp_path, capsys):
+    assert cli.main(["compare", "--suite", "rosenbrock", "--out", str(tmp_path / "cmp"),
+                     "--steps", "2.5"]) == 2
+    assert capsys.readouterr().err == "config error: steps: must be an integer, got '2.5'\n"
+
+
+@pytest.mark.parametrize("value", [math.inf, -1, 0.5, True, "fast", 10**400])
+@pytest.mark.parametrize("name", ["gamma", "tau1", "tau2", "power", "eps",
+                                  "metric_update_interval"])
+def test_a_preset_number_reads_alike_in_experiment_config_and_cgd_config(name, value):
+    outcomes = []
+    for build in (lambda: CgdConfig(**{**_CONFIG, name: value}),
+                  lambda: ExperimentConfig(**{name: value})):
+        try:
+            build()
+            outcomes.append("accepted")
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_a_refusal_takes_the_error_class_given():

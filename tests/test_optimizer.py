@@ -188,7 +188,7 @@ def test_initial_state_refuses_params_that_are_not_a_vector(params):
     for name in ("adam", "cgd_full"):
         with pytest.raises(ValueError, match=r"^params: must be a vector, got an array of shape"):
             initial_state(params, preset(name))
-    with pytest.raises(ValueError, match="^dim: must be >= 1, got 0$"):
+    with pytest.raises(ValueError, match="^dim: must be an integer >= 1, got 0$"):
         initial_state(np.zeros(0), preset("adam"))
 
 
